@@ -117,9 +117,9 @@ Emulator::step(TraceRecord *out)
         const std::int64_t b = reg(inst.rs2);
         std::int64_t v = 0;
         switch (inst.op) {
-          case Opcode::Add: v = a + b; break;
-          case Opcode::Sub: v = a - b; break;
-          case Opcode::Mul: v = a * b; break;
+          case Opcode::Add: v = isa::wrapAdd(a, b); break;
+          case Opcode::Sub: v = isa::wrapSub(a, b); break;
+          case Opcode::Mul: v = isa::wrapMul(a, b); break;
           case Opcode::Div: v = isa::divide(a, b); break;
           case Opcode::And: v = a & b; break;
           case Opcode::Or: v = a | b; break;
@@ -151,7 +151,7 @@ Emulator::step(TraceRecord *out)
         const std::int64_t a = reg(inst.rs1);
         std::int64_t v = 0;
         switch (inst.op) {
-          case Opcode::Addi: v = a + inst.imm; break;
+          case Opcode::Addi: v = isa::wrapAdd(a, inst.imm); break;
           case Opcode::Andi: v = a & inst.imm; break;
           case Opcode::Ori: v = a | inst.imm; break;
           case Opcode::Xori: v = a ^ inst.imm; break;
@@ -375,7 +375,7 @@ Emulator::run(std::uint64_t max_insts)
     std::uint64_t n = 0;
     while (!halted_ && (max_insts == 0 || n < max_insts)) {
         if (opts.cancel && (n & 4095) == 0 &&
-            opts.cancel->load(std::memory_order_relaxed))
+            opts.cancel->requested())
             throw base::CancelledError(
                 "emulator cancelled after " +
                 std::to_string(stats_.insts) + " retired insts");

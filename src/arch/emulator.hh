@@ -26,12 +26,12 @@
 #define DVI_ARCH_EMULATOR_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
 #include "arch/memory.hh"
 #include "arch/xlate.hh"
+#include "base/fault.hh"
 #include "base/reg_mask.hh"
 #include "base/types.hh"
 #include "compiler/executable.hh"
@@ -87,12 +87,12 @@ struct EmulatorOptions
     ExecTier tier = ExecTier::Xlate;
 
     /**
-     * Cooperative cancellation: when non-null, run() polls the flag
+     * Cooperative cancellation: when non-null, run() polls the token
      * every 4k instructions and unwinds with base::CancelledError
-     * once it reads true. Not a scenario axis — never serialized,
+     * once it is requested. Not a scenario axis — never serialized,
      * never affects the stats of runs that complete.
      */
-    const std::atomic<bool> *cancel = nullptr;
+    const base::CancelToken *cancel = nullptr;
 };
 
 /** Dynamic instruction mix and DVI oracle counters. */

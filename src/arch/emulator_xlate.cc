@@ -207,13 +207,16 @@ x_Halt:
     goto x_epilogue;
 
 x_Add:
-    DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] + intRegs[u->rs2]);
+    DVI_XLATE_SET_REG(u->rd,
+                      isa::wrapAdd(intRegs[u->rs1], intRegs[u->rs2]));
     goto x_epilogue;
 x_Sub:
-    DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] - intRegs[u->rs2]);
+    DVI_XLATE_SET_REG(u->rd,
+                      isa::wrapSub(intRegs[u->rs1], intRegs[u->rs2]));
     goto x_epilogue;
 x_Mul:
-    DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] * intRegs[u->rs2]);
+    DVI_XLATE_SET_REG(u->rd,
+                      isa::wrapMul(intRegs[u->rs1], intRegs[u->rs2]));
     goto x_epilogue;
 x_Div:
     DVI_XLATE_SET_REG(u->rd,
@@ -247,7 +250,7 @@ x_Srl:
     goto x_epilogue;
 
 x_Addi:
-    DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] + u->imm);
+    DVI_XLATE_SET_REG(u->rd, isa::wrapAdd(intRegs[u->rs1], u->imm));
     goto x_epilogue;
 x_Andi:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] & u->imm);
@@ -449,7 +452,7 @@ Emulator::runXlate(std::uint64_t max_insts)
         if (max_insts && n >= max_insts)
             break;
         if (opts.cancel && n >= next_cancel) {
-            if (opts.cancel->load(std::memory_order_relaxed))
+            if (opts.cancel->requested())
                 throw base::CancelledError(
                     "emulator cancelled after " +
                     std::to_string(stats_.insts) +

@@ -10,11 +10,10 @@
  *   Permanent       deterministic failure — retrying would reproduce
  *                   it, so the job is quarantined immediately;
  *   BudgetExceeded  the job blew a RunBudget deadline (wall-clock
- *                   watchdog or hardMaxInsts) and was cancelled;
- *   Cancelled       cooperative cancellation was observed mid-run
- *                   (the watchdog raises it; the driver reclassifies
- *                   it as BudgetExceeded when its own watchdog
- *                   fired).
+ *                   maxWallMs or hardMaxInsts) and was cancelled;
+ *   Cancelled       a CancelToken was observed mid-run (the job's
+ *                   deadline passed or its campaign was cancelled;
+ *                   the driver reclassifies it as BudgetExceeded).
  *
  * Layers deep in the stack (uarch::Core, arch::Emulator, runners)
  * throw these instead of ad-hoc std::runtime_error so the campaign
@@ -25,6 +24,8 @@
 #ifndef DVI_BASE_FAULT_HH
 #define DVI_BASE_FAULT_HH
 
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -88,7 +89,28 @@ class FaultInjected : public Fault
     std::string site_;
 };
 
-/** Cooperative cancellation observed mid-run (watchdog, shutdown). */
+/**
+ * A cooperative cancel request, polled by the simulation loops
+ * (uarch::Core::run every 1024 iterations, arch::Emulator::run every
+ * 4096 instructions in either tier): requested() once `flag` reads
+ * true or `deadline` has passed. Either half may be absent — a null
+ * flag, or the default never-reached deadline.
+ */
+struct CancelToken
+{
+    const std::atomic<bool> *flag = nullptr;
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
+
+    bool
+    requested() const
+    {
+        return (flag && flag->load(std::memory_order_relaxed)) ||
+               std::chrono::steady_clock::now() >= deadline;
+    }
+};
+
+/** Cooperative cancellation observed mid-run (deadline, shutdown). */
 class CancelledError : public Fault
 {
   public:

@@ -5,8 +5,8 @@
 #include <thread>
 
 #include "base/failpoint.hh"
+#include "base/fault.hh"
 #include "base/logging.hh"
-#include "driver/watchdog.hh"
 #include "obs/trace.hh"
 
 namespace dvi
@@ -159,7 +159,6 @@ struct CampaignMetrics
     obs::MetricId simInsts;
     obs::MetricId cacheHits;
     obs::MetricId cacheMisses;
-    obs::MetricId poolSteals;
     obs::MetricId queueDepth;
     obs::MetricId jobWallMs;
     obs::MetricId retries;
@@ -171,7 +170,6 @@ struct CampaignMetrics
           simInsts(reg.counter("campaign.simInsts")),
           cacheHits(reg.gauge("cache.hits")),
           cacheMisses(reg.gauge("cache.misses")),
-          poolSteals(reg.gauge("pool.steals")),
           queueDepth(reg.gauge("pool.queueDepth")),
           jobWallMs(reg.histogram("campaign.jobWallMs")),
           retries(reg.counter("campaign.retries")),
@@ -232,68 +230,8 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
     const std::atomic<bool> *cancel = opts.cancel;
     const RetryPolicy retryPolicy = opts.retry;
 
-    // One watchdog serves every deadline-bearing job; created lazily
-    // so deadline-free campaigns (the common case) spawn no extra
-    // thread.
-    std::unique_ptr<Watchdog> watchdog;
-    for (const JobSpec &j : jobs_) {
-        if (j.scenario.budget.maxWallMs) {
-            watchdog = std::make_unique<Watchdog>();
-            break;
-        }
-    }
-
-    // Bridge the campaign-level cancel into jobs already in
-    // flight. Runners poll the per-job flag (the watchdog's
-    // target), so a campaign cancel must be mirrored into every
-    // active job's flag — otherwise a long job runs to completion
-    // before anyone notices (dvi-serve's DELETE relies on this).
-    struct CancelMirror
-    {
-        std::mutex mu;
-        std::vector<std::atomic<bool> *> active;
-        std::atomic<bool> stop{false};
-        std::thread thread;
-
-        void
-        registerFlag(std::atomic<bool> *flag,
-                     const std::atomic<bool> *campaign)
-        {
-            std::lock_guard<std::mutex> lk(mu);
-            active.push_back(flag);
-            if (campaign->load(std::memory_order_relaxed))
-                flag->store(true, std::memory_order_release);
-        }
-
-        void
-        deregisterFlag(std::atomic<bool> *flag)
-        {
-            std::lock_guard<std::mutex> lk(mu);
-            active.erase(
-                std::find(active.begin(), active.end(), flag));
-        }
-
-        ~CancelMirror()
-        {
-            if (thread.joinable()) {
-                stop.store(true, std::memory_order_release);
-                thread.join();
-            }
-        }
-    } mirror;
-    if (cancel) {
-        mirror.thread = std::thread([&mirror, cancel] {
-            while (!mirror.stop.load(std::memory_order_acquire)) {
-                if (cancel->load(std::memory_order_relaxed)) {
-                    std::lock_guard<std::mutex> lk(mirror.mu);
-                    for (std::atomic<bool> *f : mirror.active)
-                        f->store(true, std::memory_order_release);
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-            }
-        });
-    }
+    // Attempts that failed past their wall-clock deadline.
+    std::atomic<std::uint64_t> deadlineFires{0};
 
     parallelFor(pool, specs.size(), [&](std::size_t i) {
         // Cooperative cancel: jobs that have not started yet become
@@ -327,22 +265,21 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
         double wall = 0.0;
         unsigned attempt = 0;
         for (;;) {
-            std::atomic<bool> jobCancel{false};
-            Watchdog::Id wd = 0;
-            const bool deadline =
-                watchdog != nullptr && s.budget.maxWallMs != 0;
+            // The simulation loops poll this token: the campaign's
+            // flag and this attempt's wall-clock deadline. A job
+            // with neither polls nothing.
+            const bool deadline = s.budget.maxWallMs != 0;
+            base::CancelToken token;
+            token.flag = cancel;
             if (deadline)
-                wd = watchdog->arm(
-                    &jobCancel,
-                    Watchdog::Clock::now() +
-                        std::chrono::milliseconds(
-                            s.budget.maxWallMs));
+                token.deadline =
+                    std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(s.budget.maxWallMs);
             JobError err;
             bool failed = false;
-            if (cancel)
-                mirror.registerFlag(&jobCancel, cancel);
             try {
-                const sim::CancelScope cancelScope(&jobCancel);
+                const sim::CancelScope cancelScope(
+                    cancel || deadline ? &token : nullptr);
                 DVI_FAILPOINT("driver.job");
                 if (timed) {
                     const auto t0 =
@@ -370,10 +307,11 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
                 err.kind = base::FaultKind::Permanent;
                 err.message = e.what();
             }
-            if (cancel)
-                mirror.deregisterFlag(&jobCancel);
-            const bool wdFired =
-                deadline && watchdog->disarm(wd);
+            const bool deadlineFired =
+                failed && deadline &&
+                std::chrono::steady_clock::now() >= token.deadline;
+            if (deadlineFired)
+                deadlineFires.fetch_add(1, std::memory_order_relaxed);
 
             if (!failed) {
                 results[i].retries = attempt;
@@ -383,10 +321,10 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
             // Drop whatever the failed attempt left in the slot.
             results[i] = JobResult();
 
-            if (wdFired ||
+            if (deadlineFired ||
                 err.kind == base::FaultKind::Cancelled) {
                 err.kind = base::FaultKind::BudgetExceeded;
-                if (wdFired) {
+                if (deadlineFired) {
                     err.message =
                         "wall-clock deadline exceeded "
                         "(maxWallMs=" +
@@ -456,8 +394,8 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
                                 std::memory_order_relaxed) +
             insts;
 
-        // This campaign's jobs not yet started: on a shared pool the
-        // pool's own depth mixes campaigns and counts group runners.
+        // This campaign's jobs not yet started (a shared pool also
+        // holds other campaigns' jobs).
         const std::uint64_t notStarted =
             specs.size() - started.load(std::memory_order_relaxed);
         if (mids) {
@@ -465,7 +403,6 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
             metrics->add(mids->simInsts, insts);
             metrics->set(mids->cacheHits, cache.hits());
             metrics->set(mids->cacheMisses, cache.misses());
-            metrics->set(mids->poolSteals, pool.stealCount());
             metrics->set(mids->queueDepth, notStarted);
             metrics->record(mids->jobWallMs,
                             static_cast<std::uint64_t>(wall *
@@ -511,8 +448,9 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
             break;
         }
     }
-    if (mids && watchdog)
-        metrics->set(mids->watchdogFires, watchdog->fires());
+    if (mids)
+        metrics->set(mids->watchdogFires,
+                     deadlineFires.load(std::memory_order_relaxed));
 
     if (sink) {
         json::Value p = json::Value::object();
@@ -526,7 +464,6 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
               static_cast<std::uint64_t>(cache.size()));
         p.set("cacheHits", cache.hits());
         p.set("cacheMisses", cache.misses());
-        p.set("poolSteals", pool.stealCount());
         p.set("wallSeconds",
               sink->elapsedSeconds() - campaignT0);
         sink->event("campaign-end", std::move(p));

@@ -2,8 +2,8 @@
  * @file
  * Simulation-campaign runner.
  *
- * A Campaign is an ordered list of Scenarios. run() shards the jobs
- * across a work-stealing ThreadPool; every worker resolves its
+ * A Campaign is an ordered list of Scenarios. run() hands the jobs
+ * to a ThreadPool as one TaskGroup; every worker resolves its
  * scenario's binary through a shared compile-once ExecutableCache
  * (so a campaign compiles each (benchmark, E-DVI policy) pair
  * exactly once no matter how many jobs reference it) and its
@@ -146,7 +146,7 @@ struct CampaignOptions
     obs::TelemetrySink *telemetry = nullptr;
 
     /** Operational metrics updated as jobs complete (jobs, insts,
-     * cache hit/miss, pool steals / queue depth). nullptr = off. */
+     * cache hit/miss, queue depth). nullptr = off. */
     obs::MetricRegistry *metrics = nullptr;
 
     /**
@@ -161,11 +161,12 @@ struct CampaignOptions
 
     /**
      * Cooperative cancellation: checked as each job is picked up, so
-     * a set flag makes every not-yet-started job a no-op while jobs
-     * already in flight drain normally. The flag may be set from any
-     * thread (DELETE /campaigns/<id>, a SIGINT handler); the
-     * returned report carries cancelled = true and must be treated
-     * as partial. nullptr = never cancelled.
+     * a set flag makes every not-yet-started job a no-op, and polled
+     * by the simulation loops, so jobs already in flight unwind at
+     * their next poll. The flag may be set from any thread (DELETE
+     * /campaigns/<id>, a SIGINT handler); the returned report
+     * carries cancelled = true and must be treated as partial.
+     * nullptr = never cancelled.
      */
     const std::atomic<bool> *cancel = nullptr;
 

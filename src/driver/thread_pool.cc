@@ -1,5 +1,7 @@
 #include "driver/thread_pool.hh"
 
+#include <algorithm>
+
 #include "base/failpoint.hh"
 #include "base/logging.hh"
 #include "obs/telemetry.hh"
@@ -13,22 +15,13 @@ ThreadPool::ThreadPool(unsigned num_threads)
 {
     if (num_threads == 0)
         num_threads = hardwareThreads();
-    queues.reserve(num_threads);
-    for (unsigned i = 0; i < num_threads; ++i)
-        queues.push_back(std::make_unique<WorkerQueue>());
     workers.reserve(num_threads);
     for (unsigned i = 0; i < num_threads; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
+        workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
-    try {
-        wait();
-    } catch (...) {
-        // A destructor must not throw; the error was the caller's to
-        // collect via wait().
-    }
     {
         std::lock_guard<std::mutex> lk(mu);
         stopping = true;
@@ -46,216 +39,23 @@ ThreadPool::hardwareThreads()
 }
 
 void
-ThreadPool::submit(Task task)
-{
-    panic_if(!task, "ThreadPool::submit: empty task");
-    const std::size_t q =
-        nextQueue.fetch_add(1, std::memory_order_relaxed) %
-        queues.size();
-    // Count the task before publishing it: once it is visible in a
-    // deque it can finish (and decrement) at any moment, and wait()
-    // must not observe unfinished == 0 while this submission is
-    // still in flight.
-    unfinished.fetch_add(1, std::memory_order_relaxed);
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    queued.fetch_add(1, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> lk(queues[q]->mu);
-        queues[q]->tasks.push_back(std::move(task));
-    }
-    {
-        // Pair the notify with the waiters' predicate check so a
-        // worker that just found every deque empty cannot miss it.
-        std::lock_guard<std::mutex> lk(mu);
-    }
-    cvWork.notify_one();
-}
-
-void
-ThreadPool::wait()
+ThreadPool::workerLoop()
 {
     std::unique_lock<std::mutex> lk(mu);
-    cvIdle.wait(lk, [this] {
-        return unfinished.load(std::memory_order_acquire) == 0;
-    });
-    if (firstError) {
-        std::exception_ptr e = firstError;
-        firstError = nullptr;
-        std::rethrow_exception(e);
-    }
-}
-
-bool
-ThreadPool::popOwn(std::size_t self, Task &out)
-{
-    std::lock_guard<std::mutex> lk(queues[self]->mu);
-    if (queues[self]->tasks.empty())
-        return false;
-    out = std::move(queues[self]->tasks.front());
-    queues[self]->tasks.pop_front();
-    queued.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool
-ThreadPool::steal(std::size_t self, Task &out)
-{
-    const std::size_t n = queues.size();
-    for (std::size_t k = 1; k < n; ++k) {
-        const std::size_t victim = (self + k) % n;
-        std::lock_guard<std::mutex> lk(queues[victim]->mu);
-        if (queues[victim]->tasks.empty())
-            continue;
-        out = std::move(queues[victim]->tasks.front());
-        queues[victim]->tasks.pop_front();
-        queued.fetch_sub(1, std::memory_order_relaxed);
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-    }
-    return false;
-}
-
-void
-ThreadPool::runTask(Task &task)
-{
-    try {
-        task();
-    } catch (...) {
-        std::lock_guard<std::mutex> lk(mu);
-        if (!firstError)
-            firstError = std::current_exception();
-    }
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    if (unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lk(mu);
-        cvIdle.notify_all();
-    }
-}
-
-void
-ThreadPool::workerLoop(std::size_t self)
-{
     for (;;) {
-        Task task;
-        if (popOwn(self, task) || steal(self, task)) {
-            runTask(task);
-            continue;
-        }
-        std::unique_lock<std::mutex> lk(mu);
-        cvWork.wait(lk, [this] {
-            return stopping ||
-                   queued.load(std::memory_order_acquire) > 0;
-        });
-        if (stopping)
+        cvWork.wait(lk, [this] { return stopping || !ready.empty(); });
+        if (ready.empty())
             return;
-        // queued > 0: retry the deques; a racing thief may still get
-        // there first, in which case we simply wait again.
+        // One task per turn: runFront() requeues the group at the
+        // back if it still has a task ready to start.
+        TaskGroup &group = *ready.front();
+        ready.pop_front();
+        group.inReady = false;
+        group.runFront(lk);
     }
 }
 
-struct TaskGroup::State : std::enable_shared_from_this<State>
-{
-    explicit State(ThreadPool &p) : pool(p), cap(p.numThreads()) {}
-
-    ThreadPool &pool;
-
-    /** Most of the group's tasks that run at once, helping waiter
-     * included: the pool's size, so `--jobs 1` stays serial. */
-    const std::size_t cap;
-
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<ThreadPool::Task> queued;  ///< submitted, not started
-    std::size_t running = 0;
-    std::size_t unfinished = 0;           ///< queued or running
-    std::size_t inPool = 0;  ///< runners in the pool, not started
-    std::exception_ptr firstError;
-
-    /** True when a queued task may start on this thread. */
-    bool
-    canStart() const
-    {
-        return !queued.empty() && running < cap;
-    }
-
-    /**
-     * Runners to add (caller holds mu): one per queued task that a
-     * free slot could start. A group never has more than `cap`
-     * runners and tasks in flight, so its runners share the deques
-     * with other groups' instead of filling them.
-     */
-    std::size_t
-    runnersWanted()
-    {
-        std::size_t n = 0;
-        while (inPool < queued.size() && inPool + running < cap) {
-            ++inPool;
-            ++n;
-        }
-        return n;
-    }
-
-    void
-    addRunners(std::size_t n)
-    {
-        for (; n > 0; --n)
-            pool.submit([st = shared_from_this()] { st->runOne(); });
-    }
-
-    /** A runner on a worker: at most one task, then the worker goes
-     * back to the pool, which may hand it another group's runner. */
-    void
-    runOne()
-    {
-        std::unique_lock<std::mutex> lk(mu);
-        --inPool;
-        const std::size_t more = canStart() ? runFront(lk) : 0;
-        lk.unlock();
-        addRunners(more);
-    }
-
-    /** Run the front task unlocked (caller holds mu and canStart());
-     * returns the runners to add once mu is released. */
-    std::size_t
-    runFront(std::unique_lock<std::mutex> &lk)
-    {
-        ThreadPool::Task task = std::move(queued.front());
-        queued.pop_front();
-        ++running;
-        lk.unlock();
-        run(task);
-        lk.lock();
-        --running;
-        --unfinished;
-        cv.notify_all();
-        return runnersWanted();
-    }
-
-    /** One task, the same on a worker and on a helping waiter. */
-    void
-    run(ThreadPool::Task &task)
-    {
-        try {
-            // A helping waiter may carry its own job and sink scope;
-            // the task must see a worker's, which are empty.
-            const obs::DetachedScope detached;
-            // Chaos site inside the group's try: an injected fault
-            // surfaces through wait() as the group's firstError —
-            // the path a real task-wrapper failure would take.
-            DVI_FAILPOINT("pool.task");
-            task();
-        } catch (...) {
-            std::lock_guard<std::mutex> lk(mu);
-            if (!firstError)
-                firstError = std::current_exception();
-        }
-    }
-};
-
-TaskGroup::TaskGroup(ThreadPool &pool)
-    : state_(std::make_shared<State>(pool))
-{
-}
+TaskGroup::TaskGroup(ThreadPool &p) : pool(p), cap(p.numThreads()) {}
 
 TaskGroup::~TaskGroup()
 {
@@ -263,36 +63,76 @@ TaskGroup::~TaskGroup()
 }
 
 void
+TaskGroup::updateReady()
+{
+    if (canStart() == inReady)
+        return;
+    inReady = !inReady;
+    if (inReady) {
+        pool.ready.push_back(this);
+        pool.cvWork.notify_one();
+    } else {
+        pool.ready.erase(
+            std::find(pool.ready.begin(), pool.ready.end(), this));
+    }
+}
+
+void
+TaskGroup::runFront(std::unique_lock<std::mutex> &lk)
+{
+    ThreadPool::Task task = std::move(queued.front());
+    queued.pop_front();
+    ++running;
+    updateReady();
+    lk.unlock();
+
+    std::exception_ptr error;
+    try {
+        // A helping waiter may carry its own job and sink scope;
+        // the task must see a worker's, which are empty.
+        const obs::DetachedScope detached;
+        // Chaos site inside the group's try: an injected fault
+        // surfaces through wait() as the group's firstError — the
+        // path a real task-wrapper failure would take.
+        DVI_FAILPOINT("pool.task");
+        task();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    task = nullptr;  // destroy the captures outside the lock
+
+    lk.lock();
+    if (error && !firstError)
+        firstError = error;
+    --running;
+    --unfinished;
+    updateReady();
+    // Notify under the lock: once it is released, a waiter that sees
+    // unfinished == 0 may destroy the group.
+    cv.notify_all();
+}
+
+void
 TaskGroup::submit(ThreadPool::Task task)
 {
     panic_if(!task, "TaskGroup::submit: empty task");
-    std::size_t more;
-    {
-        std::lock_guard<std::mutex> lk(state_->mu);
-        state_->queued.push_back(std::move(task));
-        ++state_->unfinished;
-        more = state_->runnersWanted();
-    }
-    state_->addRunners(more);
+    std::lock_guard<std::mutex> lk(pool.mu);
+    queued.push_back(std::move(task));
+    ++unfinished;
+    updateReady();
+    cv.notify_all();
 }
 
 void
 TaskGroup::finish()
 {
-    State &st = *state_;
-    std::unique_lock<std::mutex> lk(st.mu);
+    std::unique_lock<std::mutex> lk(pool.mu);
     for (;;) {
-        st.cv.wait(lk, [&st] {
-            return st.unfinished == 0 || st.canStart();
-        });
-        if (st.unfinished == 0)
+        cv.wait(lk, [this] { return unfinished == 0 || canStart(); });
+        if (unfinished == 0)
             return;
-        const std::size_t more = st.runFront(lk);
-        if (more > 0) {
-            lk.unlock();
-            st.addRunners(more);
-            lk.lock();
-        }
+        pool.helped_.fetch_add(1, std::memory_order_relaxed);
+        runFront(lk);
     }
 }
 
@@ -300,10 +140,10 @@ void
 TaskGroup::wait()
 {
     finish();
-    std::lock_guard<std::mutex> lk(state_->mu);
-    if (state_->firstError) {
-        std::exception_ptr e = state_->firstError;
-        state_->firstError = nullptr;
+    std::lock_guard<std::mutex> lk(pool.mu);
+    if (firstError) {
+        std::exception_ptr e = firstError;
+        firstError = nullptr;
         std::rethrow_exception(e);
     }
 }

@@ -1,18 +1,15 @@
 /**
  * @file
- * Work-stealing thread pool.
+ * Thread pool with per-client completion groups.
  *
- * Each worker owns a deque; submissions are distributed round-robin
- * across the deques, a worker pops its own deque FIFO, and an idle
- * worker steals FIFO from the other deques: oldest work first, so a
- * task submitted behind a busy client's resubmitted work is not
- * buried under it. The pool is completion-order agnostic by design:
- * callers that need deterministic output must key results by a task
- * index (see parallelFor and driver::Campaign).
- *
- * The first exception a task throws is captured and rethrown from
- * wait(); subsequent exceptions are dropped. After wait() returns or
- * throws, the pool is reusable.
+ * Work reaches the pool only through a TaskGroup. The pool keeps its
+ * workers, one mutex and a FIFO of the groups that have a task ready
+ * to start; a worker takes the front group, starts that group's
+ * oldest task, and puts the group at the back of the FIFO if it
+ * still has one ready. Concurrent groups therefore interleave task
+ * by task. The pool is completion-order agnostic by design: callers
+ * that need deterministic output must key results by a task index
+ * (see parallelFor and driver::Campaign).
  */
 
 #ifndef DVI_DRIVER_THREAD_POOL_HH
@@ -21,10 +18,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -34,7 +31,9 @@ namespace dvi
 namespace driver
 {
 
-/** Fixed-size work-stealing thread pool. */
+class TaskGroup;
+
+/** Fixed-size thread pool serving TaskGroups in turn. */
 class ThreadPool
 {
   public:
@@ -43,7 +42,8 @@ class ThreadPool
     /** 0 workers means one per hardware thread. */
     explicit ThreadPool(unsigned num_threads = 0);
 
-    /** Drains best-effort, stops the workers, joins. */
+    /** Stops the workers and joins them. Every TaskGroup on the
+     * pool must be gone first (a group's destructor waits). */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -54,100 +54,51 @@ class ThreadPool
         return static_cast<unsigned>(workers.size());
     }
 
-    /** Enqueue a task. Safe from any thread, including workers. */
-    void submit(Task task);
-
-    /** @name Observability counters
-     * Relaxed atomics maintained on the submit / steal / completion
-     * paths; read by telemetry at job boundaries. Monotonic except
-     * queueDepth (a point-in-time sample of enqueued-not-started
-     * tasks). @{ */
-    std::uint64_t
-    submittedCount() const
-    {
-        return submitted_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    executedCount() const
-    {
-        return executed_.load(std::memory_order_relaxed);
-    }
-    /** Tasks a worker took from another worker's deque. */
+    /** Tasks a waiting group ran on its own thread, not a worker's.
+     * Varies from run to run. */
     std::uint64_t
     stealCount() const
     {
-        return steals_.load(std::memory_order_relaxed);
+        return helped_.load(std::memory_order_relaxed);
     }
-    std::size_t
-    queueDepth() const
-    {
-        return queued.load(std::memory_order_relaxed);
-    }
-    /** @} */
-
-    /**
-     * Block until every submitted task has finished; rethrows the
-     * first exception any task raised (the pool keeps running the
-     * remaining tasks either way).
-     */
-    void wait();
 
     /** std::thread::hardware_concurrency with a floor of 1. */
     static unsigned hardwareThreads();
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mu;
-        std::deque<Task> tasks;
-    };
+    friend class TaskGroup;
 
-    void workerLoop(std::size_t self);
-    bool popOwn(std::size_t self, Task &out);
-    bool steal(std::size_t self, Task &out);
-    void runTask(Task &task);
+    void workerLoop();
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
     std::vector<std::thread> workers;
 
-    std::mutex mu;                 ///< guards cv waits and firstError
+    /** Guards everything below and every group's queue and counts. */
+    std::mutex mu;
     std::condition_variable cvWork;
-    std::condition_variable cvIdle;
-    std::atomic<std::size_t> queued{0};      ///< enqueued, not started
-    std::atomic<std::size_t> unfinished{0};  ///< enqueued or running
-    std::atomic<std::size_t> nextQueue{0};   ///< round-robin cursor
-    std::atomic<std::uint64_t> submitted_{0};
-    std::atomic<std::uint64_t> executed_{0};
-    std::atomic<std::uint64_t> steals_{0};
+    /** Groups with a task ready to start, each at most once. */
+    std::deque<TaskGroup *> ready;
     bool stopping = false;
-    std::exception_ptr firstError;
+    std::atomic<std::uint64_t> helped_{0};
 };
 
 /**
- * Completion scope over a shared pool. ThreadPool::wait() waits for
- * *every* submitted task, which is right for a pool with one client
- * and wrong for a resident server running several campaigns on one
- * pool: campaign A's wait must not block on campaign B's jobs. A
- * TaskGroup tracks only the tasks submitted through it, so wait()
- * returns when this group's tasks are done no matter how busy the
- * pool is otherwise.
+ * Completion scope over a shared pool: wait() returns when the tasks
+ * submitted through this group are done, no matter how busy the pool
+ * is with other groups — so a resident server can run several
+ * campaigns on one pool.
  *
- * The group keeps its not-yet-started tasks in its own queue, in
- * submission order, and hands the pool runners: a runner runs the
- * group's front task, adds a runner if tasks are still queued, and
- * returns its worker to the pool, so concurrent groups interleave at
- * task granularity. wait() helps: while a slot is free it runs the
- * group's queued tasks on the calling thread, so the group finishes
- * even when every worker is held by another group's long tasks. At
- * most numThreads() of a group's tasks run at once, waiter included,
- * so a one-worker pool still runs its group serially and in order.
- * A task runs the same way on either thread — the `pool.task`
- * failpoint, exception capture, and a worker's empty thread-local
- * telemetry scope.
+ * The group keeps its not-yet-started tasks in its own FIFO. At most
+ * numThreads() of them run at once, waiter included, so a one-worker
+ * pool still runs its group serially and in order. wait() helps:
+ * while a slot is free it runs the group's queued tasks on the
+ * calling thread, so the group finishes even when every worker is
+ * held by another group's long tasks. A task runs the same way on
+ * either thread — the `pool.task` failpoint, exception capture, and
+ * a worker's empty thread-local telemetry scope.
  *
- * The first exception a group task throws is captured and rethrown
- * from this group's wait(); it never reaches the pool's firstError
- * slot, so concurrent groups cannot steal each other's failures.
+ * The first exception a task throws is captured and rethrown from
+ * this group's wait(); concurrent groups never see each other's
+ * failures. After wait() returns or throws, the group is reusable.
  */
 class TaskGroup
 {
@@ -162,7 +113,8 @@ class TaskGroup
     TaskGroup(const TaskGroup &) = delete;
     TaskGroup &operator=(const TaskGroup &) = delete;
 
-    /** Enqueue a task on the pool, tracked by this group. */
+    /** Enqueue a task. Safe from any thread, including this
+     * group's own tasks. */
     void submit(ThreadPool::Task task);
 
     /** Until every task submitted through this group has finished,
@@ -171,16 +123,31 @@ class TaskGroup
     void wait();
 
   private:
-    /** Shared with the runners on the pool, which may outlive the
-     * group: a runner whose task the waiter already ran finds the
-     * queue empty and does nothing. */
-    struct State;
+    friend class ThreadPool;
 
+    /** The members below are guarded by pool.mu. */
+    bool canStart() const
+    {
+        return !queued.empty() && running < cap;
+    }
+    /** Keep pool.ready holding this group exactly when canStart(). */
+    void updateReady();
+    /** Run the front task unlocked (caller holds lk and canStart()). */
+    void runFront(std::unique_lock<std::mutex> &lk);
     /** Help while a slot is free, else block, until every task
      * submitted so far has finished. */
     void finish();
 
-    std::shared_ptr<State> state_;
+    ThreadPool &pool;
+    /** Most of the group's tasks that run at once, helping waiter
+     * included: the pool's size, so `--jobs 1` stays serial. */
+    const std::size_t cap;
+    std::condition_variable cv;          ///< a task finished or queued
+    std::deque<ThreadPool::Task> queued; ///< submitted, not started
+    std::size_t running = 0;
+    std::size_t unfinished = 0;          ///< queued or running
+    bool inReady = false;
+    std::exception_ptr firstError;
 };
 
 /**

@@ -417,6 +417,33 @@ Instruction::execLatency() const
     }
 }
 
+/** @name Wrapping two's-complement arithmetic
+ * The `add`/`addi`, `sub` and `mul` opcodes' results: computed in
+ * uint64_t, so an overflowing pair wraps modulo 2^64 instead of
+ * being undefined behaviour. Both emulator tiers compute through
+ * here. @{ */
+inline std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+/** @} */
+
 /**
  * The `div` opcode's result: truncating signed division, with one
  * defined result for each case C++ leaves undefined — a zero divisor

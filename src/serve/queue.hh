@@ -11,12 +11,13 @@
  *
  * Dispatchers pop in FIFO order and hand each session to the
  * runner callback (the server's campaign executor, which fans the
- * campaign's jobs into the shared work-stealing ThreadPool). A
+ * campaign's jobs into the shared ThreadPool as one TaskGroup). A
  * session whose cancel flag was raised while still queued is flipped
  * straight to Cancelled without running. shutdown() stops admission,
  * cancels everything still pending, raises the cooperative cancel
  * flag on running campaigns, and joins the dispatchers — in-flight
- * jobs drain, nothing is torn down mid-write.
+ * jobs unwind at their next cancel poll, nothing is torn down
+ * mid-write.
  */
 
 #ifndef DVI_SERVE_QUEUE_HH

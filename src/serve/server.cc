@@ -75,7 +75,6 @@ struct DviServer::ServerMetrics
     obs::MetricId queuePending;
     obs::MetricId queueRunning;
     obs::MetricId poolWorkers;
-    obs::MetricId poolSteals;
 
     explicit ServerMetrics(obs::MetricRegistry &reg)
         : submitted(reg.counter("serve.campaignsSubmitted")),
@@ -93,8 +92,7 @@ struct DviServer::ServerMetrics
           cacheCompiles(reg.gauge("cache.compiles")),
           queuePending(reg.gauge("queue.pending")),
           queueRunning(reg.gauge("queue.running")),
-          poolWorkers(reg.gauge("pool.workers")),
-          poolSteals(reg.gauge("pool.steals"))
+          poolWorkers(reg.gauge("pool.workers"))
     {
     }
 };
@@ -419,7 +417,6 @@ DviServer::handleMetrics(HttpResponse &res)
     metrics_.set(mids_->cacheCompiles, cache_.size());
     metrics_.set(mids_->queuePending, queue_.pending());
     metrics_.set(mids_->queueRunning, queue_.running());
-    metrics_.set(mids_->poolSteals, pool_.stealCount());
     respondJson(res, 200, metrics_.snapshotJson());
 }
 

@@ -3,14 +3,14 @@
  * dvi-serve — the resident campaign service.
  *
  * One DviServer is one long-running process serving many campaign
- * requests: a shared work-stealing ThreadPool runs every campaign's
- * jobs, a process-wide ExecutableCache means a manifest that names
- * an already-compiled (benchmark, policy) pair never compiles again
- * — across requests, not just within one — and a CampaignQueue
- * bounds what the server will hold (HTTP 429 + Retry-After beyond
- * that). Campaign state, progress, and results are served over a
- * small HTTP/1.1 API whose streaming format is exactly the PR-6
- * NDJSON telemetry protocol:
+ * requests: a shared ThreadPool runs every campaign's jobs, one
+ * TaskGroup per campaign; a process-wide ExecutableCache means a
+ * manifest that names an already-compiled (benchmark, policy) pair
+ * never compiles again — across requests, not just within one —
+ * and a CampaignQueue bounds what the server will hold (HTTP 429 +
+ * Retry-After beyond that). Campaign state, progress, and results
+ * are served over a small HTTP/1.1 API whose streaming format is
+ * exactly the NDJSON telemetry protocol (obs/telemetry.hh):
  *
  *   POST   /campaigns                submit a CampaignManifest ->
  *                                    202 {"id": "cN", ...}
@@ -105,9 +105,10 @@ class DviServer
     /**
      * Graceful shutdown: refuse new admissions, cancel pending
      * campaigns, cooperatively cancel running ones (in-flight jobs
-     * drain), then stop the HTTP server (open event streams are
-     * closed by their sessions reaching a terminal state, or
-     * force-closed). Idempotent; ~DviServer calls it too.
+     * unwind at their next cancel poll), then stop the HTTP server
+     * (open event streams are closed by their sessions reaching a
+     * terminal state, or force-closed). Idempotent; ~DviServer
+     * calls it too.
      */
     void shutdown();
 

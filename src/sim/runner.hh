@@ -19,7 +19,7 @@
 #ifndef DVI_SIM_RUNNER_HH
 #define DVI_SIM_RUNNER_HH
 
-#include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "arch/emulator.hh"
+#include "base/fault.hh"
 #include "compiler/executable.hh"
 #include "os/scheduler.hh"
 #include "sim/scenario.hh"
@@ -146,10 +147,9 @@ class Runner
  * exactly once (std::call_once) on first use; clients may add their
  * own at any time before the campaign that references them runs.
  *
- * Lookups are lock-free: the registry keeps an immutable, sorted
- * snapshot behind an atomically-swapped shared_ptr, so the per-job
- * find() on the campaign hot path takes no mutex — only the rare
- * add() serializes, copy-on-write.
+ * One mutex guards a sorted map; a job does a handful of lookups,
+ * so find() simply locks it. Runners are never removed, so a
+ * returned pointer stays valid.
  */
 class RunnerRegistry
 {
@@ -159,48 +159,46 @@ class RunnerRegistry
     /** Register a runner under runner->name(); fatal on duplicate. */
     void add(std::unique_ptr<Runner> runner);
 
-    /** Look up by name; nullptr if unknown. Lock-free. */
+    /** Look up by name; nullptr if unknown. */
     const Runner *find(const std::string &name) const;
 
-    /** All registered names, sorted. Lock-free. */
+    /** All registered names, sorted. */
     std::vector<std::string> names() const;
 
   private:
     RunnerRegistry() = default;
 
-    /** Immutable sorted (name, runner) snapshot. */
-    struct Snapshot;
-
-    std::shared_ptr<const Snapshot> snap_;
-    std::mutex writeMu_;
+    mutable std::mutex mu_;
+    std::map<std::string, std::unique_ptr<const Runner>> runners_;
 };
 
 /** Resolve a runner by name; fatal with the known names if absent. */
 const Runner &runnerFor(const std::string &name);
 
 /**
- * Scopes a cooperative-cancellation flag onto the calling thread
+ * Scopes a cooperative-cancellation token onto the calling thread
  * (the obs::SinkScope idiom). The campaign driver installs one per
- * job attempt; the built-in runners pick it up via currentCancel()
- * and thread it into the simulation loops, which poll it and unwind
- * with base::CancelledError when set (the watchdog sets it at the
- * wall-clock deadline). Nestable; restores the outer flag on exit.
+ * job attempt that has a cancel flag or a wall-clock deadline; the
+ * built-in runners pick it up via currentCancel() and thread it into
+ * the simulation loops, which poll it and unwind with
+ * base::CancelledError once it is requested. Nestable; restores the
+ * outer token on exit.
  */
 class CancelScope
 {
   public:
-    explicit CancelScope(const std::atomic<bool> *cancel);
+    explicit CancelScope(const base::CancelToken *cancel);
     ~CancelScope();
 
     CancelScope(const CancelScope &) = delete;
     CancelScope &operator=(const CancelScope &) = delete;
 
   private:
-    const std::atomic<bool> *prev_;
+    const base::CancelToken *prev_;
 };
 
-/** The calling thread's scoped cancel flag; nullptr when none. */
-const std::atomic<bool> *currentCancel();
+/** The calling thread's scoped cancel token; nullptr when none. */
+const base::CancelToken *currentCancel();
 
 } // namespace sim
 } // namespace dvi

@@ -67,7 +67,8 @@ struct RunBudget
 
     /**
      * Wall-clock deadline in milliseconds (0 = none). Enforced by
-     * the campaign watchdog via cooperative cancellation; a job past
+     * cooperative cancellation: the simulation loops poll the job's
+     * base::CancelToken, which carries the deadline; a job past
      * its deadline fails with kind budget-exceeded. Unlike maxInsts
      * this is a fault threshold, not a stopping point.
      */

@@ -782,7 +782,7 @@ Core::run()
     std::uint64_t cancelPoll = 0;
     while (true) {
         if (cfg.cancel && (++cancelPoll & 1023) == 0 &&
-            cfg.cancel->load(std::memory_order_relaxed))
+            cfg.cancel->requested())
             throw base::CancelledError(
                 "timing core cancelled after " +
                 std::to_string(stats_.committedProgInsts) +

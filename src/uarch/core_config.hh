@@ -7,10 +7,10 @@
 #ifndef DVI_UARCH_CORE_CONFIG_HH
 #define DVI_UARCH_CORE_CONFIG_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "arch/xlate.hh"
+#include "base/fault.hh"
 #include "mem/cache.hh"
 #include "predictor/branch_predictor.hh"
 
@@ -116,13 +116,14 @@ struct CoreConfig
     /** @} */
 
     /**
-     * Cooperative cancellation: when non-null, run() polls the flag
+     * Cooperative cancellation: when non-null, run() polls the token
      * every ~1k loop iterations and unwinds with
-     * base::CancelledError once it reads true (the campaign watchdog
-     * sets it at the wall-clock deadline). Not a config axis — never
-     * serialized, never affects stats of runs that complete.
+     * base::CancelledError once it is requested (the campaign's
+     * cancel flag or the job's wall-clock deadline). Not a config
+     * axis — never serialized, never affects stats of runs that
+     * complete.
      */
-    const std::atomic<bool> *cancel = nullptr;
+    const base::CancelToken *cancel = nullptr;
 
     /** Scale issue width and matching resources (Fig. 11's 8-way
      * configuration doubles the functional units and widths). */

@@ -2,7 +2,8 @@
  * @file
  * Tests for the fault-tolerance layer: failpoint spec parsing and
  * deterministic firing, the campaign retry/quarantine loop, the
- * wall-clock watchdog and instruction hard deadline, and the
+ * wall-clock and instruction hard deadlines, campaign cancel of a
+ * job in flight, and the
  * degraded-report contract (partial results, error records, byte
  * identity of everything that did not fail, manifest round-trip).
  *
@@ -322,11 +323,15 @@ TEST_F(ChaosTest, DegradedReportRoundTripsAsManifest)
     EXPECT_EQ(m.scenarios.size(), report.results.size());
 }
 
-// ------------------------------------------- watchdog & budgets
+// -------------------------------------------- deadlines & cancel
+
+/** Runs of SpinRunner started so far. */
+std::atomic<int> g_spinStarts{0};
 
 /** A runner that never finishes on its own: it spins until the
- * scoped cancel flag (set by the campaign watchdog) is raised, then
- * unwinds with CancelledError exactly like the simulation loops. */
+ * scoped cancel token (the job's deadline or its campaign's flag)
+ * is requested, then unwinds with CancelledError exactly like the
+ * simulation loops. */
 class SpinRunner : public sim::Runner
 {
   public:
@@ -334,17 +339,17 @@ class SpinRunner : public sim::Runner
     std::string
     description() const override
     {
-        return "spins until cancelled (watchdog tests)";
+        return "spins until cancelled (deadline and cancel tests)";
     }
 
     sim::RunResult
     run(const sim::Scenario &, const comp::Executable &) const override
     {
-        const std::atomic<bool> *cancel = sim::currentCancel();
+        ++g_spinStarts;
+        const base::CancelToken *cancel = sim::currentCancel();
         const auto deadline = std::chrono::steady_clock::now() +
                               std::chrono::seconds(20);
-        while (!cancel ||
-               !cancel->load(std::memory_order_relaxed)) {
+        while (!cancel || !cancel->requested()) {
             if (std::chrono::steady_clock::now() > deadline)
                 throw std::runtime_error(
                     "spin runner: cancel never arrived");
@@ -412,6 +417,31 @@ TEST_F(ChaosTest, WatchdogCancelsStuckJobAndReclaimsWorker)
     EXPECT_FALSE(report.results[1].failed);
     EXPECT_GT(report.results[1].run.ipc, 0.0);
     EXPECT_EQ(gaugeValue(metrics, "campaign.watchdogFires"), 1u);
+
+    // The same stuck job with no deadline: raising the campaign's
+    // flag mid-job unwinds it at its next poll.
+    driver::Campaign flagged("cancel");
+    stuck.budget.maxWallMs = 0;
+    flagged.add(stuck);
+    std::atomic<bool> cancel{false};
+    driver::CampaignOptions fopts;
+    fopts.jobs = 1;
+    fopts.cancel = &cancel;
+    const int spinsBefore = g_spinStarts.load();
+    std::chrono::steady_clock::time_point raised;
+    std::thread raiser([&] {
+        while (g_spinStarts.load() == spinsBefore)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        raised = std::chrono::steady_clock::now();
+        cancel.store(true);
+    });
+    const driver::CampaignReport cancelled = flagged.run(fopts);
+    raiser.join();
+    EXPECT_LT(std::chrono::steady_clock::now() - raised,
+              std::chrono::seconds(1));
+    EXPECT_TRUE(cancelled.cancelled);
+    ASSERT_EQ(cancelled.results.size(), 1u);
+    EXPECT_TRUE(cancelled.results[0].failed);
 }
 
 TEST_F(ChaosTest, HardInstructionDeadlineQuarantinesJob)

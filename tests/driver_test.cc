@@ -87,10 +87,11 @@ TEST(ExecutableCache, SafeUnderConcurrentGet)
 {
     driver::ExecutableCache cache;
     driver::ThreadPool pool(4);
+    driver::TaskGroup group(pool);
     std::atomic<const comp::Executable *> seen{nullptr};
     std::atomic<int> mismatches{0};
     for (int i = 0; i < 32; ++i) {
-        pool.submit([&] {
+        group.submit([&] {
             const auto exe = cache.get(workload::BenchmarkId::Gcc,
                                        comp::EdviPolicy::CallSites);
             const comp::Executable *expected = nullptr;
@@ -99,7 +100,7 @@ TEST(ExecutableCache, SafeUnderConcurrentGet)
                 ++mismatches;
         });
     }
-    pool.wait();
+    group.wait();
     EXPECT_EQ(mismatches.load(), 0);
     EXPECT_EQ(cache.size(), 1u);
 }

@@ -146,6 +146,21 @@ TEST(Emulator, DivisionByZeroYieldsZero)
     }
 }
 
+TEST(Emulator, SignedOverflowWraps)
+{
+    // add, sub, mul and addi wrap modulo 2^64 where int64_t
+    // arithmetic would overflow (undefined behaviour in C++).
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    Emulator emu(comp::compile(testprog::wrapProgram(1, 63, -1)));
+    emu.run();
+    EXPECT_TRUE(emu.halted());
+    EXPECT_EQ(globalWord(emu, 0), kMax);  // INT64_MIN + -1
+    EXPECT_EQ(globalWord(emu, 1), kMax);  // INT64_MIN - 1
+    EXPECT_EQ(globalWord(emu, 2), kMin);  // INT64_MIN * -1
+    EXPECT_EQ(globalWord(emu, 3), kMax);  // INT64_MIN + imm -1
+}
+
 TEST(Emulator, ResultHashIsDeterministic)
 {
     comp::Executable exe = comp::compile(testprog::sumProgram(50));

@@ -247,6 +247,9 @@ TEST(XlateTier, BranchTakenAndNotTakenMatchInterpreter)
                      EmulatorOptions{});
     expectTierParity(comp::compile(testprog::divProgram(1, 63, -1)),
                      EmulatorOptions{});
+    // Wrapping add, sub, mul and addi on an overflowing pair.
+    expectTierParity(comp::compile(testprog::wrapProgram(1, 63, -1)),
+                     EmulatorOptions{});
 }
 
 TEST(XlateTier, RecursionAndLvmOracleMatchInterpreter)

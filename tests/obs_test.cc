@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the observability layer (src/obs/): NDJSON stream
- * well-formedness, wall-clock field isolation, metric shard
- * aggregation, phase tracing, log mirroring — and the headline
+ * well-formedness, wall-clock field isolation, concurrent metric
+ * counting, phase tracing, log mirroring — and the headline
  * guarantee that attaching telemetry changes a campaign report by
  * zero bytes.
  */

@@ -131,6 +131,44 @@ divProgram(std::int32_t a, std::int32_t shift, std::int32_t b)
 }
 
 /**
+ * main: x = a << shift, y = b, then globals[0..3] = x + y,
+ * x - (0 - y), x * y and x + b (an `addi`). With a = 1, shift = 63,
+ * b = -1 every one of the four overflows int64_t.
+ */
+inline prog::Module
+wrapProgram(std::int32_t a, std::int32_t shift, std::int32_t b)
+{
+    using namespace prog;
+    Module mod;
+    mod.name = "wrap";
+    mod.globalWords = 4;
+    mod.procs.resize(1);
+    Procedure &main = mod.procs[0];
+    main.name = "main";
+    VReg x = main.newVReg(), s = main.newVReg(), y = main.newVReg(),
+         z = main.newVReg(), n = main.newVReg(), gp = main.newVReg();
+    VReg out[4] = {main.newVReg(), main.newVReg(), main.newVReg(),
+                   main.newVReg()};
+    int b0 = main.newBlock();
+    main.emit(b0, irLoadImm(x, a));
+    main.emit(b0, irLoadImm(s, shift));
+    main.emit(b0, irAlu(IrOp::Sll, x, x, s));
+    main.emit(b0, irLoadImm(y, b));
+    main.emit(b0, irLoadImm(z, 0));
+    main.emit(b0, irAlu(IrOp::Sub, n, z, y));
+    main.emit(b0, irAlu(IrOp::Add, out[0], x, y));
+    main.emit(b0, irAlu(IrOp::Sub, out[1], x, n));
+    main.emit(b0, irAlu(IrOp::Mul, out[2], x, y));
+    main.emit(b0, irAluImm(IrOp::AddImm, out[3], x, b));
+    main.emit(b0, irLoadImm(gp, static_cast<std::int32_t>(
+                                    Module::globalBase)));
+    for (int i = 0; i < 4; ++i)
+        main.emit(b0, irStore(out[i], gp, 8 * i));
+    main.emit(b0, irHalt());
+    return mod;
+}
+
+/**
  * The paper's Fig. 7 scenario: two callers of one callee. Both
  * callers hold a value in the same callee-saved register (their
  * first cross-call value lands in s0 in both). In caller1 the value

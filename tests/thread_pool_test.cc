@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the work-stealing thread pool: completion,
- * index-ordered results, exception propagation, reuse after wait,
- * nested submission, and clean shutdown.
+ * Unit tests for the thread pool and its TaskGroups: completion,
+ * serial order on one worker, index-ordered results, exception
+ * propagation, reuse after wait, nested submission, per-group
+ * waiting, interleaving of concurrent groups, and clean shutdown.
  */
 
 #include <gtest/gtest.h>
@@ -24,21 +25,26 @@ namespace
 TEST(ThreadPool, RunsEveryTask)
 {
     driver::ThreadPool pool(4);
+    driver::TaskGroup group(pool);
     std::atomic<int> count{0};
     for (int i = 0; i < 200; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
+        group.submit([&count] { ++count; });
+    group.wait();
     EXPECT_EQ(count.load(), 200);
 }
 
 TEST(ThreadPool, SingleThreadWorks)
 {
+    // One worker: the group runs serially, in submission order.
     driver::ThreadPool pool(1);
-    std::atomic<int> count{0};
+    driver::TaskGroup group(pool);
+    std::vector<int> order;
     for (int i = 0; i < 50; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 50);
+        group.submit([&order, i] { order.push_back(i); });
+    group.wait();
+    ASSERT_EQ(order.size(), 50u);
+    for (int i = 0; i < 50; ++i)
+        EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPool, ParallelForOrdersResultsByIndex)
@@ -54,68 +60,73 @@ TEST(ThreadPool, ParallelForOrdersResultsByIndex)
 TEST(ThreadPool, WaitWithNoTasksReturns)
 {
     driver::ThreadPool pool(2);
-    pool.wait();  // must not hang
+    driver::TaskGroup group(pool);
+    group.wait();  // must not hang
     SUCCEED();
 }
 
 TEST(ThreadPool, ReusableAfterWait)
 {
     driver::ThreadPool pool(3);
+    driver::TaskGroup group(pool);
     std::atomic<int> count{0};
     for (int round = 0; round < 4; ++round) {
         for (int i = 0; i < 25; ++i)
-            pool.submit([&count] { ++count; });
-        pool.wait();
+            group.submit([&count] { ++count; });
+        group.wait();
+        EXPECT_EQ(count.load(), 25 * (round + 1));
     }
-    EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPool, PropagatesFirstException)
 {
+    // Many throwing tasks across every worker: wait() rethrows one
+    // of them, once, and every task still ran.
     driver::ThreadPool pool(4);
-    std::atomic<int> completed{0};
+    driver::TaskGroup group(pool);
+    std::atomic<int> ran{0};
     for (int i = 0; i < 64; ++i) {
-        pool.submit([&completed, i] {
-            if (i == 13)
+        group.submit([&ran, i] {
+            ++ran;
+            if (i % 8 == 5)
                 throw std::runtime_error("boom");
-            ++completed;
         });
     }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // Every non-throwing task still ran.
-    EXPECT_EQ(completed.load(), 63);
-    // The error is consumed: the pool is usable again.
-    pool.submit([&completed] { ++completed; });
-    pool.wait();
-    EXPECT_EQ(completed.load(), 64);
+    EXPECT_THROW(group.wait(), std::runtime_error);
+    EXPECT_EQ(ran.load(), 64);
+    group.wait();  // consumed: nothing left to rethrow
 }
 
 TEST(ThreadPool, WorkersCanSubmit)
 {
     driver::ThreadPool pool(4);
+    driver::TaskGroup group(pool);
     std::atomic<int> count{0};
     for (int i = 0; i < 8; ++i) {
-        pool.submit([&pool, &count] {
+        group.submit([&group, &count] {
             for (int j = 0; j < 4; ++j)
-                pool.submit([&count] { ++count; });
+                group.submit([&count] { ++count; });
         });
     }
-    // Note: wait() waits for *all* submitted tasks, including the
-    // nested ones, because unfinished counts them the moment they
-    // are submitted (before their parent finishes).
-    pool.wait();
+    // wait() covers the nested tasks too: each is counted the
+    // moment it is submitted, before its parent finishes.
+    group.wait();
     EXPECT_EQ(count.load(), 32);
 }
 
 TEST(ThreadPool, DestructorDrainsOutstandingWork)
 {
+    // Groups on one pool, destroyed without wait(), one after
+    // another: each destructor drains its own tasks and the pool's
+    // destructor then joins idle workers without hanging.
     std::atomic<int> count{0};
     {
         driver::ThreadPool pool(2);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&count] { ++count; });
-        // No wait(): the destructor must drain and join without
-        // hanging or crashing.
+        for (int g = 0; g < 4; ++g) {
+            driver::TaskGroup group(pool);
+            for (int i = 0; i < 25; ++i)
+                group.submit([&count] { ++count; });
+        }
     }
     EXPECT_EQ(count.load(), 100);
 }
@@ -219,10 +230,9 @@ TEST(ThreadPool, HardwareThreadsIsPositive)
 {
     EXPECT_GE(driver::ThreadPool::hardwareThreads(), 1u);
     driver::ThreadPool pool(0);  // 0 = hardware concurrency
-    EXPECT_GE(pool.numThreads(), 1u);
+    EXPECT_EQ(pool.numThreads(), driver::ThreadPool::hardwareThreads());
     std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
+    driver::parallelFor(pool, 1, [&count](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 1);
 }
 
