@@ -28,6 +28,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "arch/memory.hh"
 #include "arch/xlate.hh"
@@ -75,12 +76,13 @@ struct EmulatorOptions
 
     /**
      * Execution tier for run() and stepBatch(). Xlate (the default)
-     * executes from the process-wide basic-block translation cache:
-     * each block is decoded once into pre-resolved micro-ops and
-     * dispatched through a threaded inner loop, with architectural
-     * state, stats, traces, and the functional LVM bit-identical to
-     * the interpreter (the fuzz oracle's tier-lockstep layer and the
-     * golden-stats tests enforce this). Interp forces the tier-0
+     * executes translated basic blocks: the emulator decodes each
+     * block it reaches once into pre-resolved micro-ops, keeps it
+     * for its own lifetime, and dispatches through a threaded inner
+     * loop, with architectural state, stats, traces, and the
+     * functional LVM bit-identical to the interpreter (the fuzz
+     * oracle's tier-lockstep layer and the golden-stats tests
+     * enforce this). Interp forces the tier-0
      * decode-dispatch loop — the A/B reference. step() always
      * interprets regardless of tier.
      */
@@ -193,10 +195,9 @@ class Emulator
     const EmulatorStats &stats() const { return stats_; }
     const comp::Executable &executable() const { return exe; }
 
-    /** Tier-1 translation handle; null until the first cached
-     * run()/stepBatch() under ExecTier::Xlate (tests and the
-     * invalidation paths inspect block formation through it). */
-    const TranslatedProgram *translation() const { return xprog_.get(); }
+    /** Distinct block leaders translated so far; 0 until the first
+     * run()/stepBatch() under ExecTier::Xlate. */
+    std::size_t translatedBlocks() const;
 
     /**
      * Digest of the program-visible result: return-value registers
@@ -222,8 +223,9 @@ class Emulator
     void checkReadSlow(RegIndex r);
 
     /** @name Tier-1 executor (emulator_xlate.cc) @{ */
-    /** Acquire the shared translation from the process cache. */
-    void ensureXlate();
+    /** The block led by `pc` (inside the code image), translated on
+     * first use. */
+    const XBlock &blockAt(std::uint32_t pc);
     /** Dead-read probe for block execution: pc_ is not advanced
      * per micro-op, so the faulting pc is passed explicitly. */
     void checkLiveAt(RegIndex r, std::uint32_t at_pc);
@@ -263,8 +265,9 @@ class Emulator
     RegMask fpLive_;
     std::uint64_t callDepth = 0;
 
-    /** Shared tier-1 translation (lazy; see ensureXlate). */
-    std::shared_ptr<TranslatedProgram> xprog_;
+    /** Tier-1 block index, one slot per pc; sized to the code on
+     * the first translated run, null until that leader is reached. */
+    std::vector<std::unique_ptr<const XBlock>> blocks_;
 
     EmulatorStats stats_;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tier-1 executor: runs the emulator from the basic-block
- * translation cache (arch/xlate.hh).
+ * Tier-1 executor: runs the emulator from its own translated basic
+ * blocks (arch/xlate.hh).
  *
  * The inner loop is threaded dispatch: on GCC/Clang each micro-op
  * handler ends in one indirect `goto *` through a label table
@@ -19,7 +19,6 @@
 #include <algorithm>
 
 #include "arch/emulator.hh"
-#include "arch/xlate_cache.hh"
 #include "base/bits.hh"
 #include "base/fault.hh"
 #include "base/logging.hh"
@@ -31,11 +30,22 @@ namespace arch
 
 using isa::Opcode;
 
-void
-Emulator::ensureXlate()
+std::size_t
+Emulator::translatedBlocks() const
 {
-    if (!xprog_)
-        xprog_ = TranslationCache::process().acquire(exe);
+    return static_cast<std::size_t>(
+        std::count_if(blocks_.begin(), blocks_.end(),
+                      [](const auto &b) { return b != nullptr; }));
+}
+
+const XBlock &
+Emulator::blockAt(std::uint32_t pc)
+{
+    std::unique_ptr<const XBlock> &slot = blocks_[pc];
+    if (!slot)
+        slot = std::make_unique<const XBlock>(
+            translateBlock(exe.code, pc));
+    return *slot;
 }
 
 void
@@ -443,8 +453,8 @@ Emulator::execBlock<true, true>(const XBlock &b, TraceRecord *out);
 std::uint64_t
 Emulator::runXlate(std::uint64_t max_insts)
 {
-    ensureXlate();
     const std::size_t code_size = exe.code.size();
+    blocks_.resize(code_size);
     const bool live = opts.trackLiveness;
     std::uint64_t n = 0;
     std::uint64_t next_cancel = 0;
@@ -466,7 +476,7 @@ Emulator::runXlate(std::uint64_t max_insts)
             ++n;
             continue;
         }
-        const XBlock &b = xprog_->getOrTranslate(pc_);
+        const XBlock &b = blockAt(pc_);
         if (max_insts && b.len > max_insts - n) {
             // The budget ends inside this block: finish with the
             // tier-0 loop, which applies the gate per instruction.
@@ -486,8 +496,8 @@ std::size_t
 Emulator::stepBatchXlate(TraceRecord *out, std::size_t max_records,
                          std::uint64_t max_prog_insts)
 {
-    ensureXlate();
     const std::size_t code_size = exe.code.size();
+    blocks_.resize(code_size);
     const bool live = opts.trackLiveness;
     std::size_t n = 0;
     std::uint64_t prog = 0;
@@ -502,7 +512,7 @@ Emulator::stepBatchXlate(TraceRecord *out, std::size_t max_records,
             ++n;
             continue;
         }
-        const XBlock &b = xprog_->getOrTranslate(pc_);
+        const XBlock &b = blockAt(pc_);
         if (b.len > max_records - n ||
             (max_prog_insts &&
              b.stat.progInsts >= max_prog_insts - prog)) {

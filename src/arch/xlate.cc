@@ -147,65 +147,5 @@ blockPrefixStats(const XBlock &b, std::uint32_t n)
     return s;
 }
 
-std::uint64_t
-TranslatedProgram::hashCode(const comp::Executable &exe)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v, unsigned bytes) {
-        for (unsigned i = 0; i < bytes; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(static_cast<std::uint64_t>(exe.code.size()), 8);
-    mix(static_cast<std::uint64_t>(exe.entry), 4);
-    for (const Instruction &inst : exe.code) {
-        mix(static_cast<std::uint64_t>(inst.op), 1);
-        mix(inst.rd, 1);
-        mix(inst.rs1, 1);
-        mix(inst.rs2, 1);
-        mix(static_cast<std::uint32_t>(inst.imm), 4);
-    }
-    return h;
-}
-
-TranslatedProgram::TranslatedProgram(const comp::Executable &exe)
-    : code_(exe.code), entry_(exe.entry), hash_(hashCode(exe)),
-      table_(exe.code.size())
-{
-}
-
-bool
-TranslatedProgram::matches(const comp::Executable &exe) const
-{
-    return entry_ == exe.entry && code_ == exe.code;
-}
-
-const XBlock &
-TranslatedProgram::getOrTranslate(std::uint32_t pc)
-{
-    panic_if(pc >= code_.size(),
-             "getOrTranslate: pc ", pc, " outside code image");
-    if (const XBlock *b = blockAt(pc))
-        return *b;
-    std::lock_guard<std::mutex> lk(mu_);
-    // Double-check under the lock: another emulator may have
-    // published this leader while we waited.
-    if (const XBlock *b =
-            table_[pc].load(std::memory_order_relaxed))
-        return *b;
-    storage_.push_back(translateBlock(code_, pc));
-    const XBlock *b = &storage_.back();
-    table_[pc].store(b, std::memory_order_release);
-    return *b;
-}
-
-std::size_t
-TranslatedProgram::blockCount() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return storage_.size();
-}
-
 } // namespace arch
 } // namespace dvi

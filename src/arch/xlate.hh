@@ -7,27 +7,21 @@
  * basic block is decoded once into a flat array of MicroOps —
  * operands, effective-address recipes, E-DVI kill masks, and the
  * dead-read probe list pre-baked — plus a precomputed static stats
- * delta, and the emulator then executes from the cache with a
+ * delta, and the emulator then executes the decoded blocks with a
  * threaded-dispatch inner loop (emulator_xlate.cc).
  *
- * A TranslatedProgram is the per-executable block index: a lazy,
- * thread-safe pc -> XBlock table over a private copy of the code.
- * The process-wide TranslationCache (xlate_cache.hh) shares one
- * TranslatedProgram between every emulator running the same binary,
- * mirroring the driver's compile-once ExecutableCache.
+ * Each Emulator owns its block index: a pc -> XBlock table filled
+ * the first time a leader is reached and freed with the emulator.
+ * Nothing is shared between emulators, so nothing here is locked.
  */
 
 #ifndef DVI_ARCH_XLATE_HH
 #define DVI_ARCH_XLATE_HH
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <vector>
 
 #include "base/types.hh"
-#include "compiler/executable.hh"
 #include "isa/instruction.hh"
 
 namespace dvi
@@ -41,7 +35,7 @@ namespace arch
 enum class ExecTier : std::uint8_t
 {
     Interp = 0,  ///< decode-dispatch interpreter (tier 0)
-    Xlate = 1,   ///< basic-block translation cache (tier 1)
+    Xlate = 1,   ///< basic-block translation (tier 1)
 };
 
 /**
@@ -121,63 +115,6 @@ XBlock translateBlock(const std::vector<isa::Instruction> &code,
 /** Static stats of the first `n` micro-ops of `b` — the mid-block
  * fault path re-classifies the executed prefix with this. */
 BlockStats blockPrefixStats(const XBlock &b, std::uint32_t n);
-
-/**
- * The lazy per-executable block index. Owns a private copy of the
- * code image (translation never dangles a caller's Executable) and
- * publishes blocks through an atomic table: lookups are lock-free
- * acquire loads; a miss takes a mutex, translates, and publishes
- * with a release store, so concurrent emulators sharing one program
- * through the TranslationCache are race-free (the TSan CI leg runs
- * the lockstep suite over exactly this).
- */
-class TranslatedProgram
-{
-  public:
-    explicit TranslatedProgram(const comp::Executable &exe);
-
-    TranslatedProgram(const TranslatedProgram &) = delete;
-    TranslatedProgram &operator=(const TranslatedProgram &) = delete;
-
-    std::size_t codeSize() const { return code_.size(); }
-    std::uint64_t codeHash() const { return hash_; }
-
-    /** Full code comparison against `exe` — the cache key is a hash,
-     * but admission is by content, so two distinct programs can
-     * never share a translation. */
-    bool matches(const comp::Executable &exe) const;
-
-    /** Lock-free: the block published at `pc`, or nullptr if that
-     * leader has not been translated yet. */
-    const XBlock *
-    blockAt(std::uint32_t pc) const
-    {
-        return table_[pc].load(std::memory_order_acquire);
-    }
-
-    /** The block led by `pc`, translating and publishing on first
-     * use. `pc` must be inside the code image. */
-    const XBlock &getOrTranslate(std::uint32_t pc);
-
-    /** Number of distinct blocks translated so far. */
-    std::size_t blockCount() const;
-
-    /** FNV-1a over the code image + entry (the cache's probe key). */
-    static std::uint64_t hashCode(const comp::Executable &exe);
-
-  private:
-    const std::vector<isa::Instruction> code_;
-    const int entry_;
-    const std::uint64_t hash_;
-
-    /** One slot per pc; null until that leader is translated. */
-    std::vector<std::atomic<const XBlock *>> table_;
-
-    /** Guards storage_; the deque gives published blocks stable
-     * addresses across later insertions. */
-    mutable std::mutex mu_;
-    std::deque<XBlock> storage_;
-};
 
 } // namespace arch
 } // namespace dvi

@@ -50,12 +50,10 @@ ExecutableCache::get(workload::BenchmarkId id,
         entry->inProgress = true;
     }
     try {
-        // A campaign-local cache carries its campaign's sink; the
-        // process-wide cache dvi-serve shares has none, so compile
-        // spans resolve through the thread's scoped sink and land
-        // in the stream of whichever campaign triggered the build.
-        obs::TelemetrySink *sink =
-            sink_ ? sink_ : obs::currentSink();
+        // Compiles run inside a job's SinkScope, so the span lands in
+        // the stream of whichever campaign triggered the build, also
+        // for the process-wide cache dvi-serve shares.
+        obs::TelemetrySink *sink = obs::currentSink();
         json::Value begin = json::Value::object();
         begin.set("benchmark", workload::benchmarkName(id));
         begin.set("policy", sim::edviPolicyName(policy));
@@ -196,12 +194,9 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
         mids = std::make_unique<CampaignMetrics>(*metrics);
 
     // The compile cache is campaign-local unless the caller shares a
-    // process-wide one (dvi-serve); a shared cache keeps its own
-    // telemetry wiring (scoped-sink fallback) and its counters
-    // accumulate across campaigns.
+    // process-wide one (dvi-serve), whose counters accumulate across
+    // campaigns.
     ExecutableCache localCache;
-    if (!opts.cache)
-        localCache.setTelemetry(sink);
     ExecutableCache &cache = opts.cache ? *opts.cache : localCache;
 
     const double campaignT0 = sink ? sink->elapsedSeconds() : 0.0;

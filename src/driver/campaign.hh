@@ -42,8 +42,8 @@ namespace driver
  * (benchmark, E-DVI policy). The first worker to request a key
  * compiles it; concurrent requesters for the same key block until
  * that compile finishes, while requests for other keys proceed in
- * parallel. Entries are immutable once published — uarch::Core and
- * arch::Emulator copy the executable they run, so sharing one
+ * parallel. Entries are immutable once published — each job's
+ * arch::Emulator copies the executable it runs, so sharing one
  * Executable across workers is safe.
  */
 class ExecutableCache
@@ -54,14 +54,6 @@ class ExecutableCache
 
     /** Number of distinct (benchmark, policy) pairs compiled. */
     std::size_t size() const;
-
-    /** Telemetry for this cache: compiles become `compile` phase
-     * spans on the sink. May be nullptr (the default). */
-    void
-    setTelemetry(obs::TelemetrySink *sink)
-    {
-        sink_ = sink;
-    }
 
     /** @name Hit / miss accounting
      * A get() that found the executable already published (or
@@ -101,7 +93,6 @@ class ExecutableCache
 
     mutable std::mutex mu;
     std::map<Key, std::shared_ptr<Entry>> entries;
-    obs::TelemetrySink *sink_ = nullptr;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
 };

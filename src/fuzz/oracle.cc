@@ -204,7 +204,7 @@ tierLockstep(const comp::Executable &exe, const OracleOptions &opts)
             if (!a.step(&ta)) {
                 return "tier: interpreter halted at record #" +
                        std::to_string(n) +
-                       ", translation cache still running (" +
+                       ", xlate tier still running (" +
                        describeInst(tb) + ")";
             }
             if (ta.pc != tb.pc || ta.inst.op != tb.inst.op) {
@@ -244,7 +244,7 @@ tierLockstep(const comp::Executable &exe, const OracleOptions &opts)
             break;
     }
     if (b.halted() && a.step(nullptr))
-        return "tier: translation cache halted, interpreter still "
+        return "tier: xlate tier halted, interpreter still "
                "running";
 
     if (a.faulted() != b.faulted() ||

@@ -27,7 +27,7 @@
  *     oracle), and a final architectural state identical to the
  *     lockstep emulator's;
  *  5. tier lockstep: the tier-0 interpreter against the tier-1
- *     basic-block translation cache over the same E-DVI binary —
+ *     basic-block translation tier over the same E-DVI binary —
  *     record-for-record pc / opcode / effective-address /
  *     branch-outcome / next-pc diff (kills included: same binary,
  *     so the streams must match one for one), dead-read counts at

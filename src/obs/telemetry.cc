@@ -149,7 +149,6 @@ namespace
 {
 
 std::atomic<TelemetrySink *> g_sink{nullptr};
-std::atomic<std::uint64_t> g_core_sample{0};
 
 thread_local std::uint64_t t_current_job = noJob;
 thread_local TelemetrySink *t_current_sink = nullptr;
@@ -181,18 +180,6 @@ TelemetrySink *
 globalSink()
 {
     return g_sink.load(std::memory_order_acquire);
-}
-
-void
-setCoreSampleInsts(std::uint64_t everyInsts)
-{
-    g_core_sample.store(everyInsts, std::memory_order_release);
-}
-
-std::uint64_t
-coreSampleInsts()
-{
-    return g_core_sample.load(std::memory_order_acquire);
 }
 
 JobScope::JobScope(std::uint64_t job) : prev_(t_current_job)

@@ -184,12 +184,6 @@ void setGlobalSink(TelemetrySink *sink);
 /** The installed global sink; nullptr when telemetry is off. */
 TelemetrySink *globalSink();
 
-/** Committed-instruction interval for the timing core's mid-run
- * stats samples (see CoreConfig::sampleEveryInsts); 0 disables.
- * Read by the timing runner when it configures each core. */
-void setCoreSampleInsts(std::uint64_t everyInsts);
-std::uint64_t coreSampleInsts();
-
 /** @} */
 
 /**

@@ -130,7 +130,7 @@ describeFields(fields::FieldSet &fs, const std::string &prefix,
     fs.bindUnsigned(prefix + "lvmStackDepth", o.lvmStackDepth);
     fs.bindBool(prefix + "strictDeadReads", o.strictDeadReads);
     // Throughput-only knob (tiers are proven bit-identical); bound
-    // so `--set emu.tier=interp` A/Bs the translation cache.
+    // so `--set emu.tier=interp` A/Bs the block translator.
     fs.bindEnum(prefix + "tier", o.tier, execTierTokenMap());
 }
 

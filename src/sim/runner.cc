@@ -45,6 +45,10 @@ checkHardDeadline(const RunBudget &b, std::uint64_t insts)
             std::to_string(b.hardMaxInsts));
 }
 
+/** Committed-instruction interval of the timing core's `core-sample`
+ * events whenever a telemetry sink is current. */
+constexpr std::uint64_t coreSampleEveryInsts = 10000;
+
 /** CoreConfig::sampleHook target: emit a `core-sample` event for
  * the current job on the process-global sink. ctx is the sink. */
 void
@@ -83,11 +87,9 @@ class TimingRunner : public Runner
         // sampled stats go out-of-band, so the RunResult (and every
         // report) is unaffected.
         if (obs::TelemetrySink *sink = obs::currentSink()) {
-            if (const std::uint64_t every = obs::coreSampleInsts()) {
-                cfg.sampleEveryInsts = every;
-                cfg.sampleHook = &emitCoreSample;
-                cfg.sampleCtx = sink;
-            }
+            cfg.sampleEveryInsts = coreSampleEveryInsts;
+            cfg.sampleHook = &emitCoreSample;
+            cfg.sampleCtx = sink;
         }
         uarch::Core core(exe, cfg);
         RunResult r;

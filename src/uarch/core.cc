@@ -43,7 +43,7 @@ pcBytes(std::uint32_t pc)
 } // namespace
 
 Core::Core(const comp::Executable &exe, const CoreConfig &config)
-    : exe(exe), cfg(config),
+    : cfg(config),
       emu(exe,
           arch::EmulatorOptions{/*trackLiveness=*/false, true, true, 0,
                                 false, false, config.emuTier}),

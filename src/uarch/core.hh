@@ -226,9 +226,6 @@ class Core
                         F &&f) const;
     /** @} */
 
-    /** Owned copy, for the same lifetime-safety reason as
-     * arch::Emulator. */
-    const comp::Executable exe;
     CoreConfig cfg;
     CoreStats stats_;
 

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tier-1 translation tests: basic-block formation, the pre-baked
- * dead-read probe lists, interpreter/cache lockstep over branches,
+ * dead-read probe lists, interpreter/xlate lockstep over branches,
  * fuel-guarded back edges and mutual recursion, misaligned-fault
- * paths (mid-block prefix stats), and TranslationCache keying —
- * per-executable invalidation, LRU eviction, recompile staleness,
- * and multi-threaded sharing of one translation.
+ * paths (mid-block prefix stats), and the per-emulator block index —
+ * lazy growth, recompiles under one name, and concurrent emulators
+ * on one executable.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "arch/emulator.hh"
 #include "arch/xlate.hh"
-#include "arch/xlate_cache.hh"
 #include "compiler/compile.hh"
 #include "fuzz/oracle.hh"
 #include "fuzz/program_gen.hh"
@@ -428,52 +427,18 @@ TEST(XlateTier, FirstDeadReadDiagnosticsMatchInterpreter)
     expectStatsEq(a.stats(), b.stats());
 }
 
-// --------------------------------------------- translation cache
+// ------------------------------------------- per-emulator block index
 
-TEST(TranslationCache, HitsMissesAndInvalidation)
+TEST(XlateTier, RecompileNeverSeesStaleTranslation)
 {
-    TranslationCache cache(4);
-    const comp::Executable exe =
-        comp::compile(testprog::sumProgram(10));
-
-    const auto p1 = cache.acquire(exe);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
-    const auto p2 = cache.acquire(exe);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(p1.get(), p2.get());  // shared, not re-translated
-
-    EXPECT_TRUE(cache.invalidate(exe));
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.invalidate(exe));  // already gone
-
-    const auto p3 = cache.acquire(exe);
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_NE(p1.get(), p3.get());
-    // The old handle stays valid after eviction.
-    EXPECT_TRUE(p1->matches(exe));
-}
-
-TEST(TranslationCache, RecompileNeverSeesStaleTranslation)
-{
-    // Same name, same shape, different code: the content key must
-    // separate them — a stale translation surviving a recompile is
-    // exactly the bug this cache design rules out.
-    TranslationCache cache(4);
+    // Same name, same shape, different code: each emulator translates
+    // the binary it was built on, so a recompile under the same name
+    // computes its own result.
     const comp::Executable v1 =
         comp::compile(testprog::sumProgram(10));
     comp::Executable v2 = comp::compile(testprog::sumProgram(11));
     v2.name = v1.name;
 
-    const auto p1 = cache.acquire(v1);
-    const auto p2 = cache.acquire(v2);
-    EXPECT_NE(p1.get(), p2.get());
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_TRUE(p1->matches(v1));
-    EXPECT_FALSE(p1->matches(v2));
-
-    // And execution through the process cache agrees: each binary
-    // computes its own result.
     EmulatorOptions opts;
     opts.tier = ExecTier::Xlate;
     Emulator e1(v1, opts), e2(v2, opts);
@@ -482,65 +447,26 @@ TEST(TranslationCache, RecompileNeverSeesStaleTranslation)
     EXPECT_NE(e1.resultHash(), e2.resultHash());
 }
 
-TEST(TranslationCache, LruEvictionKeepsLiveHandlesValid)
-{
-    TranslationCache cache(2);
-    const comp::Executable a =
-        comp::compile(testprog::sumProgram(1));
-    const comp::Executable b =
-        comp::compile(testprog::sumProgram(2));
-    const comp::Executable c =
-        comp::compile(testprog::sumProgram(3));
-
-    const auto pa = cache.acquire(a);
-    const auto pb = cache.acquire(b);
-    (void)cache.acquire(a);  // refresh a: b is now LRU
-    const auto pc = cache.acquire(c);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-
-    // b was evicted: re-acquiring misses and re-translates.
-    const std::uint64_t misses = cache.misses();
-    const auto pb2 = cache.acquire(b);
-    EXPECT_EQ(cache.misses(), misses + 1);
-    EXPECT_NE(pb.get(), pb2.get());
-    EXPECT_TRUE(pb->matches(b));  // evicted handle still usable
-}
-
-TEST(TranslationCache, ClearDropsEverything)
-{
-    TranslationCache cache;
-    (void)cache.acquire(comp::compile(testprog::sumProgram(5)));
-    (void)cache.acquire(comp::compile(testprog::sumProgram(6)));
-    EXPECT_EQ(cache.size(), 2u);
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(TranslatedProgram, LazyBlockIndexGrowsOnDemand)
 {
     const comp::Executable exe =
         comp::compile(testprog::factorialProgram(5));
-    TranslatedProgram prog(exe);
-    EXPECT_EQ(prog.blockCount(), 0u);
-    EXPECT_EQ(prog.blockAt(static_cast<std::uint32_t>(exe.entry)),
-              nullptr);
-    const XBlock &b =
-        prog.getOrTranslate(static_cast<std::uint32_t>(exe.entry));
-    EXPECT_EQ(prog.blockCount(), 1u);
-    EXPECT_EQ(&prog.getOrTranslate(
-                  static_cast<std::uint32_t>(exe.entry)),
-              &b);  // idempotent, same storage
-    EXPECT_EQ(prog.blockAt(static_cast<std::uint32_t>(exe.entry)),
-              &b);
+    EmulatorOptions opts;
+    opts.tier = ExecTier::Xlate;
+    Emulator emu(exe, opts);
+    EXPECT_EQ(emu.translatedBlocks(), 0u);  // lazy until first run
+    TraceRecord rec;
+    ASSERT_EQ(emu.stepBatch(&rec, 1), 1u);
+    EXPECT_EQ(emu.translatedBlocks(), 1u);  // the entry leader only
+    emu.run();
+    EXPECT_GT(emu.translatedBlocks(), 1u);
+    EXPECT_LE(emu.translatedBlocks(), exe.code.size());
 }
 
-TEST(TranslationCache, ConcurrentEmulatorsShareOneTranslation)
+TEST(XlateTier, ConcurrentEmulatorsMatchSoloRun)
 {
     const comp::Executable exe =
         comp::compile(testprog::factorialProgram(9));
-    TranslationCache cache(8);
-    const auto shared = cache.acquire(exe);
 
     // Reference result from a solo run.
     EmulatorOptions opts;
@@ -552,11 +478,9 @@ TEST(TranslationCache, ConcurrentEmulatorsShareOneTranslation)
     std::vector<std::uint64_t> hashes(8, 0);
     for (unsigned t = 0; t < 8; ++t) {
         threads.emplace_back([&, t] {
-            // All eight race on the same lazy block table via the
-            // process cache (the TSan leg runs this too).
-            EmulatorOptions o;
-            o.tier = ExecTier::Xlate;
-            Emulator emu(exe, o);
+            // Eight emulators on one Executable, each translating
+            // into its own block index (the TSan leg runs this too).
+            Emulator emu(exe, opts);
             emu.run();
             hashes[t] = emu.resultHash();
         });
@@ -572,13 +496,14 @@ TEST(XlateTier, EmulatorExposesItsTranslation)
     const comp::Executable exe =
         comp::compile(testprog::sumProgram(10));
     EmulatorOptions opts;
+    opts.tier = ExecTier::Interp;
+    Emulator interp(exe, opts);
+    interp.run();
+    EXPECT_EQ(interp.translatedBlocks(), 0u);  // tier 0 never translates
     opts.tier = ExecTier::Xlate;
-    Emulator emu(exe, opts);
-    EXPECT_EQ(emu.translation(), nullptr);  // lazy until first run
-    emu.run();
-    ASSERT_NE(emu.translation(), nullptr);
-    EXPECT_GT(emu.translation()->blockCount(), 0u);
-    EXPECT_TRUE(emu.translation()->matches(exe));
+    Emulator xlate(exe, opts);
+    xlate.run();
+    EXPECT_GT(xlate.translatedBlocks(), 0u);
 }
 
 } // namespace

@@ -265,7 +265,7 @@ TEST(Telemetry, ContentDeterministicAfterWallClockNormalization)
 
 TEST(Telemetry, ReportByteIdenticalWithTelemetryOn)
 {
-    const driver::Campaign campaign = smallCampaign();
+    const driver::Campaign campaign = smallCampaign(20000);
     driver::CampaignOptions plain;
     plain.jobs = 2;
     const std::string without = campaign.run(plain).toJson();
@@ -274,7 +274,6 @@ TEST(Telemetry, ReportByteIdenticalWithTelemetryOn)
     Capture cap;
     cap.attach(*sink);
     obs::setGlobalSink(sink.get());
-    obs::setCoreSampleInsts(1000);
     driver::CampaignOptions wired;
     wired.jobs = 2;
     wired.telemetry = sink.get();
@@ -282,12 +281,11 @@ TEST(Telemetry, ReportByteIdenticalWithTelemetryOn)
     wired.metrics = &metrics;
     const std::string with = campaign.run(wired).toJson();
     obs::setGlobalSink(nullptr);
-    obs::setCoreSampleInsts(0);
 
     EXPECT_EQ(without, with);
     // The instrumented run must actually have observed something —
-    // including mid-run core samples (5000-inst jobs sampled every
-    // 1000 insts).
+    // including mid-run core samples (20000-inst jobs sampled every
+    // 10000 insts).
     EXPECT_GT(cap.count("core-sample"), 0u);
     EXPECT_EQ(cap.count("job-end"), campaign.size());
 }

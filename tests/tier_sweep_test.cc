@@ -2,7 +2,7 @@
  * @file
  * Differential registry sweep: every registered scenario must
  * produce a byte-identical campaign report whether its emulators run
- * on the tier-0 interpreter or the tier-1 translation cache. The
+ * on the tier-0 interpreter or the tier-1 block translator. The
  * execution tier is a throughput knob, never a results axis — this
  * is the system-level restatement of the fuzz oracle's tier-lockstep
  * layer, over the real campaigns users run.

@@ -417,7 +417,6 @@ main(int argc, char **argv)
         // timing core's mid-run samples and the warn()/inform()
         // mirror. Cleared before the sink dies, below.
         obs::setGlobalSink(sink.get());
-        obs::setCoreSampleInsts(10000);
         if (metrics_interval)
             flusher = std::make_unique<obs::MetricFlusher>(
                 metrics, *sink, metrics_interval);
@@ -461,7 +460,6 @@ main(int argc, char **argv)
             if (sink) {
                 metrics.flush(*sink);
                 obs::setGlobalSink(nullptr);
-                obs::setCoreSampleInsts(0);
             }
             std::fprintf(
                 stderr,
@@ -495,7 +493,6 @@ main(int argc, char **argv)
         if (sink) {
             metrics.flush(*sink);
             obs::setGlobalSink(nullptr);
-            obs::setCoreSampleInsts(0);
         }
         std::fprintf(stderr, "dvi-run: campaign %s failed: %s\n",
                      campaign.name().c_str(), e.what());
@@ -511,7 +508,6 @@ main(int argc, char **argv)
         if (sink) {
             metrics.flush(*sink);
             obs::setGlobalSink(nullptr);
-            obs::setCoreSampleInsts(0);
         }
         std::fprintf(stderr,
                      "dvi-run: interrupted; campaign %s stopped "
@@ -537,7 +533,6 @@ main(int argc, char **argv)
     if (sink) {
         metrics.flush(*sink);
         obs::setGlobalSink(nullptr);
-        obs::setCoreSampleInsts(0);
     }
 
     // Wall-clock goes to stderr so report files and stdout captures

@@ -153,7 +153,6 @@ main(int argc, char **argv)
             ? std::make_unique<obs::TelemetrySink>()
             : obs::TelemetrySink::open(telemetry_path);
     obs::setGlobalSink(sink.get());
-    obs::setCoreSampleInsts(10000);
 
     std::signal(SIGINT, &onSignal);
     std::signal(SIGTERM, &onSignal);
@@ -179,7 +178,6 @@ main(int argc, char **argv)
     // terminal state and flushed, so the stream ends on a whole
     // line.
     obs::setGlobalSink(nullptr);
-    obs::setCoreSampleInsts(0);
     sink.reset();
     std::fprintf(stderr, "dvi-serve: clean shutdown\n");
     return 0;
