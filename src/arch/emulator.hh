@@ -144,7 +144,10 @@ class Emulator
      * writing one TraceRecord per instruction into out[]. Stops early
      * at halt, or — when max_prog_insts is non-zero — before the
      * instruction that would exceed that many non-kill (program)
-     * records. Returns the number of records written.
+     * records. Under ExecTier::Xlate it may also stop short at a
+     * block edge, when the next whole basic block would not fit in
+     * the remaining records (it returns at least one record unless
+     * halted or gated). Returns the number of records written.
      *
      * The budget gate is applied before every single step, so the
      * record sequence (and the emulator's final architectural state)
@@ -226,6 +229,10 @@ class Emulator
     /** The block led by `pc` (inside the code image), translated on
      * first use. */
     const XBlock &blockAt(std::uint32_t pc);
+    /** Slow path of the block prologue's dead-read test, taken
+     * only when a register in u.chkMask is dead: probes u's
+     * registers in interpreter order (isa::deadCheckRegs). */
+    void probeDeadReads(const MicroOp &u);
     /** Dead-read probe for block execution: pc_ is not advanced
      * per micro-op, so the faulting pc is passed explicitly. */
     void checkLiveAt(RegIndex r, std::uint32_t at_pc);

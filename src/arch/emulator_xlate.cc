@@ -22,6 +22,7 @@
 #include "base/bits.hh"
 #include "base/fault.hh"
 #include "base/logging.hh"
+#include "isa/decode.hh"
 
 namespace dvi
 {
@@ -46,6 +47,15 @@ Emulator::blockAt(std::uint32_t pc)
         slot = std::make_unique<const XBlock>(
             translateBlock(exe.code, pc));
     return *slot;
+}
+
+void
+Emulator::probeDeadReads(const MicroOp &u)
+{
+    RegIndex chk[2];
+    const unsigned n = isa::deadCheckRegs(exe.code[u.pc], chk);
+    for (unsigned c = 0; c < n; ++c)
+        checkLiveAt(chk[c], u.pc);
 }
 
 void
@@ -159,11 +169,8 @@ x_top:
         eff_addr = 0;
         taken = false;
     }
-    if (live && u->nChk) {
-        checkLiveAt(u->chk0, u->pc);
-        if (u->nChk > 1)
-            checkLiveAt(u->chk1, u->pc);
-    }
+    if (live && DVI_UNLIKELY(u->chkMask & ~lvm_.mask().raw()))
+        probeDeadReads(*u);
 #if DVI_XLATE_COMPUTED_GOTO
     goto *kDispatch[static_cast<unsigned>(u->op)];
 #else
@@ -365,7 +372,7 @@ x_Call:
     goto x_epilogue;
 
 x_Ret:
-    // The ra dead-read probe already ran in the prologue (chk0).
+    // The ra dead-read probe already ran in the prologue.
     if (callDepth > 0)
         --callDepth;
     u_next = static_cast<std::uint32_t>(intRegs[isa::regRa]);
@@ -513,12 +520,19 @@ Emulator::stepBatchXlate(TraceRecord *out, std::size_t max_records,
             continue;
         }
         const XBlock &b = blockAt(pc_);
-        if (b.len > max_records - n ||
-            (max_prog_insts &&
-             b.stat.progInsts >= max_prog_insts - prog)) {
-            // The record buffer or the program-instruction gate ends
-            // inside this block: the tier-0 loop applies both limits
-            // before every single step, byte-identically.
+        const bool gate_inside = max_prog_insts &&
+            b.stat.progInsts >= max_prog_insts - prog;
+        if (!gate_inside && b.len > max_records - n && n > 0) {
+            // The next block does not fit in the record buffer: end
+            // the batch at the block edge, so the next batch starts
+            // on this leader instead of splitting the block.
+            break;
+        }
+        if (gate_inside || b.len > max_records - n) {
+            // The program-instruction gate ends inside this block,
+            // or the caller's whole buffer is smaller than it: the
+            // tier-0 loop applies both limits before every single
+            // step, byte-identically.
             while (n < max_records) {
                 if (max_prog_insts && prog >= max_prog_insts)
                     break;

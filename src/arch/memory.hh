@@ -8,14 +8,18 @@
  * generators rely on for zero-initialized global arrays.
  *
  * Storage is paged rather than per-word: 512-word (4 KB) pages in a
- * hash map, fronted by a one-entry last-page cache. Emulated
- * accesses have strong spatial locality (stack frames, the global
- * window), so the common case is a shift, a compare, and an indexed
- * array access; the per-word hash lookup this replaced was the
- * single largest shared cost in the functional emulator's inner
- * loop on both execution tiers. Pages never move once allocated
- * (unique_ptr targets), which is what keeps the cached pointer
- * valid.
+ * hash map, fronted by a 16-entry direct-mapped page TLB indexed by
+ * the low bits of the page number. Emulated accesses cluster on a
+ * few pages at once (the current stack frames, the global window,
+ * the heap arrays a loop walks), so the common case is a shift, one
+ * compare and an indexed array access; the hash lookup runs out of
+ * line (memory.cc) only on a TLB miss. Stack and global accesses
+ * interleave, so a single-entry page cache would miss on about a
+ * third of the accesses of fig09/fig12. Pages never move once
+ * allocated (unique_ptr targets), which is what keeps the cached
+ * pointers valid; Memory is neither copyable nor movable, so no
+ * second object can hold a TLB that points into another's pages.
+ * Reading an unwritten page returns 0 and allocates nothing.
  */
 
 #ifndef DVI_ARCH_MEMORY_HH
@@ -50,12 +54,20 @@ class Memory
     };
 
   public:
+    Memory() = default;
+    Memory(const Memory &) = delete;
+    Memory &operator=(const Memory &) = delete;
+
     std::int64_t
     read(Addr addr) const
     {
         panic_if(addr % 8 != 0, "unaligned read at ", addr);
         const std::uint64_t w = addr >> 3;
-        const Page *p = findPage(w >> pageShift);
+        const std::uint64_t idx = w >> pageShift;
+        const TlbEntry &e = tlb[idx & tlbMask];
+        if (e.idx == idx)
+            return e.page->data[w & pageMask];
+        const Page *p = findPageSlow(idx);
         return p ? p->data[w & pageMask] : 0;
     }
 
@@ -64,7 +76,9 @@ class Memory
     {
         panic_if(addr % 8 != 0, "unaligned write at ", addr);
         const std::uint64_t w = addr >> 3;
-        Page &p = ensurePage(w >> pageShift);
+        const std::uint64_t idx = w >> pageShift;
+        const TlbEntry &e = tlb[idx & tlbMask];
+        Page &p = e.idx == idx ? *e.page : ensurePageSlow(idx);
         const std::uint64_t slot = w & pageMask;
         std::uint64_t &bits = p.written[slot >> 6];
         const std::uint64_t bit = std::uint64_t(1) << (slot & 63);
@@ -98,39 +112,33 @@ class Memory
     }
 
   private:
-    const Page *
-    findPage(std::uint64_t idx) const
-    {
-        if (lastPage && lastIdx == idx)
-            return lastPage;
-        const auto it = pages.find(idx);
-        if (it == pages.end())
-            return nullptr;
-        lastIdx = idx;
-        lastPage = it->second.get();
-        return lastPage;
-    }
+    static constexpr unsigned tlbSlots = 16;
+    static constexpr std::uint64_t tlbMask = tlbSlots - 1;
+    /** No page number reaches this (addresses are 64-bit, so page
+     * numbers have at most 52 bits): marks an empty TLB slot. */
+    static constexpr std::uint64_t noPage = ~std::uint64_t(0);
 
-    Page &
-    ensurePage(std::uint64_t idx)
+    struct TlbEntry
     {
-        if (lastPage && lastIdx == idx)
-            return *lastPage;
-        std::unique_ptr<Page> &slot = pages[idx];
-        if (!slot)
-            slot = std::make_unique<Page>();
-        lastIdx = idx;
-        lastPage = slot.get();
-        return *lastPage;
-    }
+        std::uint64_t idx = noPage;
+        Page *page = nullptr;
+    };
+
+    /** TLB miss on a read: the hash lookup, filling the slot when
+     * the page exists; nullptr (and no fill) for an unwritten page. */
+    const Page *findPageSlow(std::uint64_t idx) const;
+
+    /** TLB miss on a write: find or allocate the page, fill the
+     * slot. */
+    Page &ensurePageSlow(std::uint64_t idx);
 
     std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages;
     std::size_t touched = 0;
 
-    /** Last page accessed; pages are never deallocated or moved, so
-     * the cached pointer stays valid for the Memory's lifetime. */
-    mutable std::uint64_t lastIdx = 0;
-    mutable Page *lastPage = nullptr;
+    /** Page TLB, slot = page number mod tlbSlots. Pages are never
+     * deallocated or moved, so a filled slot stays valid for the
+     * Memory's lifetime. */
+    mutable std::array<TlbEntry, tlbSlots> tlb{};
 };
 
 } // namespace arch

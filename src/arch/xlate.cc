@@ -122,11 +122,10 @@ translateBlock(const std::vector<Instruction> &code, std::uint32_t pc)
         u.rs2 = inst.rs2;
         u.imm = inst.imm;
         u.pc = i;
-        RegIndex chk[2] = {0, 0};
-        u.nChk = static_cast<std::uint8_t>(
-            isa::deadCheckRegs(inst, chk));
-        u.chk0 = chk[0];
-        u.chk1 = chk[1];
+        RegIndex chk[2];
+        const unsigned n_chk = isa::deadCheckRegs(inst, chk);
+        for (unsigned c = 0; c < n_chk; ++c)
+            u.chkMask |= std::uint32_t(1) << chk[c];
         b.uops.push_back(u);
         ++b.len;
         accumulate(b.stat, inst.op);

@@ -42,7 +42,7 @@ enum class ExecTier : std::uint8_t
  * One pre-decoded instruction. 16 bytes, flat in the block's uop
  * array: the inner loop touches exactly one cache line per four
  * micro-ops and never re-derives operands, srcIdx recipes, or the
- * dead-read probe list.
+ * dead-read probe set.
  */
 struct MicroOp
 {
@@ -55,12 +55,12 @@ struct MicroOp
     std::int32_t imm = 0;
     /** Source instruction index (the architectural pc). */
     std::uint32_t pc = 0;
-    /** Dead-read probe list, in interpreter checkRead order
-     * (isa::deadCheckRegs); r0 already excluded. */
-    RegIndex chk0 = 0;
-    RegIndex chk1 = 0;
-    std::uint8_t nChk = 0;
-    std::uint8_t pad = 0;
+    /** Integer registers the dead-read probe reads
+     * (isa::deadCheckRegs; r0 excluded), one bit each. The inner
+     * loop tests them against the LVM in one AND; only when one is
+     * dead does it re-derive the ordered probe list, so the
+     * first-dead-read diagnostics keep the interpreter's order. */
+    std::uint32_t chkMask = 0;
 };
 static_assert(sizeof(MicroOp) == 16, "MicroOp packs to 16 bytes");
 

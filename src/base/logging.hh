@@ -74,19 +74,40 @@ void setLogHook(LogHook hook);
 #define inform(...)                                                        \
     ::dvi::detail::informImpl(::dvi::detail::composeMessage(__VA_ARGS__))
 
+/**
+ * @name Cold failure paths
+ * The checked helpers on the emulator's per-instruction path
+ * (RegMask, Lvm, arch::Memory, the renamer) carry a panic_if each.
+ * Composing the message inline would make every one of them too big
+ * to inline, so the condition is hinted false and the formatting
+ * moves into a noinline, cold lambda: the hot path keeps one
+ * compare and a branch to out-of-line code. Non-GNU compilers get
+ * the plain form; the message text is the same either way.
+ * @{
+ */
+#if defined(__GNUC__) || defined(__clang__)
+#define DVI_UNLIKELY(cond) __builtin_expect(static_cast<bool>(cond), 0)
+#define DVI_COLD_CALL(...)                                                 \
+    [&]() __attribute__((noinline, cold, noreturn)) { __VA_ARGS__; }()
+#else
+#define DVI_UNLIKELY(cond) static_cast<bool>(cond)
+#define DVI_COLD_CALL(...) __VA_ARGS__
+#endif
+/** @} */
+
 /** Assert an invariant; panics (simulator bug) when violated. */
 #define panic_if(cond, ...)                                                \
     do {                                                                   \
-        if (cond) {                                                        \
-            panic(__VA_ARGS__);                                            \
+        if (DVI_UNLIKELY(cond)) {                                          \
+            DVI_COLD_CALL(panic(__VA_ARGS__));                             \
         }                                                                  \
     } while (0)
 
 /** Reject a user-provided configuration; fatal when violated. */
 #define fatal_if(cond, ...)                                                \
     do {                                                                   \
-        if (cond) {                                                        \
-            fatal(__VA_ARGS__);                                            \
+        if (DVI_UNLIKELY(cond)) {                                          \
+            DVI_COLD_CALL(fatal(__VA_ARGS__));                             \
         }                                                                  \
     } while (0)
 

@@ -76,7 +76,7 @@ class RegMask
 
     bool empty() const { return bits == 0; }
     unsigned count() const { return popcount64(bits); }
-    std::uint64_t raw() const { return bits; }
+    constexpr std::uint64_t raw() const { return bits; }
     void reset() { bits = 0; }
 
     RegMask operator|(RegMask o) const { return RegMask(bits | o.bits); }

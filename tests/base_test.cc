@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for base utilities: RegMask, DynBitset, Rng.
+ * Unit tests for base utilities: RegMask, DynBitset, Rng, and the
+ * panic_if/fatal_if checks.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <set>
 
 #include "base/dyn_bitset.hh"
+#include "base/logging.hh"
 #include "base/reg_mask.hh"
 #include "base/ring_buffer.hh"
 #include "base/small_vec.hh"
@@ -307,6 +309,26 @@ TEST(SmallVec, InlineThenSpill)
     v.push_back(42);  // reusable after clear
     ASSERT_EQ(v.size(), 1u);
     EXPECT_EQ(v[0], 42);
+}
+
+TEST(Logging, CheckMacrosEvaluateTheirConditionOnce)
+{
+    int evaluations = 0;
+    panic_if(++evaluations > 1, "never fires");
+    EXPECT_EQ(evaluations, 1);
+    fatal_if(++evaluations > 2, "never fires");
+    EXPECT_EQ(evaluations, 2);
+}
+
+TEST(LoggingDeath, CheckMacrosComposeTheFullMessage)
+{
+    // The message is formatted on the cold path only, from the same
+    // arguments, so the text is what panic()/fatal() would print.
+    const int reg = 7;
+    EXPECT_DEATH(panic_if(reg == 7, "bad reg ", reg, " at pc ", 42),
+                 "panic: bad reg 7 at pc 42");
+    EXPECT_EXIT(fatal_if(reg > 0, "reg ", reg, " rejected"),
+                ::testing::ExitedWithCode(1), "fatal: reg 7 rejected");
 }
 
 TEST(RegMask, FirstNBeyondWidthPanics)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <type_traits>
 
 #include "arch/emulator.hh"
 #include "compiler/compile.hh"
@@ -116,6 +117,76 @@ TEST(Emulator, MemoryRoundTrip)
     EXPECT_EQ(mem.read(0x1000), -42);
     EXPECT_EQ(mem.touchedWords(), 1u);
 }
+
+// Page geometry of arch::Memory: 4 KB pages, a 16-slot direct-mapped
+// page TLB indexed by the page number.
+constexpr Addr kPageBytes = 4096;
+constexpr Addr kTlbSlots = 16;
+
+TEST(Memory, PagesAliasingOneTlbSlotBothRoundTrip)
+{
+    Memory mem;
+    const Addr a = 5 * kPageBytes + 8;
+    const Addr b = (5 + kTlbSlots) * kPageBytes + 8;  // same slot
+    for (int i = 0; i < 4; ++i) {
+        mem.write(a, 100 + i);
+        mem.write(b, 200 + i);
+        EXPECT_EQ(mem.read(a), 100 + i);
+        EXPECT_EQ(mem.read(b), 200 + i);
+        EXPECT_EQ(mem.read(a), 100 + i);
+    }
+    EXPECT_EQ(mem.touchedWords(), 2u);
+}
+
+TEST(Memory, InterleavedStackAndGlobalWritesReadBack)
+{
+    // The emulator's two hot regions: frames below stackTop and the
+    // global window, touched alternately the way a loop that spills
+    // to its frame and walks a global array does.
+    Memory mem;
+    const Addr stack = comp::Executable::stackTop - 8;
+    const Addr global = prog::Module::globalBase;
+    for (std::int64_t i = 0; i < 2000; ++i) {
+        mem.write(stack - 8 * static_cast<Addr>(i), i);
+        mem.write(global + 8 * static_cast<Addr>(i), -i);
+    }
+    for (std::int64_t i = 0; i < 2000; ++i) {
+        EXPECT_EQ(mem.read(global + 8 * static_cast<Addr>(i)), -i);
+        EXPECT_EQ(mem.read(stack - 8 * static_cast<Addr>(i)), i);
+    }
+    EXPECT_EQ(mem.touchedWords(), 4000u);
+}
+
+TEST(Memory, ReadingUnwrittenPagesAllocatesNothing)
+{
+    Memory mem;
+    mem.write(0x2000, 9);
+    for (Addr page = 0; page < 64; ++page)
+        EXPECT_EQ(mem.read(page * kPageBytes + 0x18 + 0x40000), 0);
+    EXPECT_EQ(mem.read(0x2008), 0);  // same page, unwritten word
+    EXPECT_EQ(mem.touchedWords(), 1u);
+    std::size_t words = 0;
+    mem.forEach([&](Addr addr, std::int64_t value) {
+        ++words;
+        EXPECT_EQ(addr, 0x2000u);
+        EXPECT_EQ(value, 9);
+    });
+    EXPECT_EQ(words, 1u);
+    // A page first read while unwritten is still allocated by a
+    // later write.
+    mem.write(0x40018, 5);
+    EXPECT_EQ(mem.read(0x40018), 5);
+    EXPECT_EQ(mem.touchedWords(), 2u);
+}
+
+// The TLB holds raw pointers into the page map, so a Memory may not
+// be copied or moved: a second object would inherit a TLB that
+// points into the first one's pages.
+static_assert(!std::is_copy_constructible_v<Memory> &&
+                  !std::is_move_constructible_v<Memory> &&
+                  !std::is_copy_assignable_v<Memory> &&
+                  !std::is_move_assignable_v<Memory>,
+              "Memory is pinned");
 
 TEST(MemoryDeath, UnalignedAccessPanics)
 {

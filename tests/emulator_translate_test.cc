@@ -226,10 +226,8 @@ TEST(TranslateBlock, MicroOpsCarryTheProbeList)
         Instruction::halt(),
     });
     const XBlock b = translateBlock(exe.code, 0);
-    ASSERT_EQ(b.uops[0].nChk, 2u);
-    EXPECT_EQ(b.uops[0].chk0, 10);
-    EXPECT_EQ(b.uops[0].chk1, 11);
-    EXPECT_EQ(b.uops[1].nChk, 0u);
+    EXPECT_EQ(b.uops[0].chkMask, (1u << 10) | (1u << 11));
+    EXPECT_EQ(b.uops[1].chkMask, 0u);
 }
 
 // ------------------------------------------------ execution parity
@@ -425,6 +423,82 @@ TEST(XlateTier, FirstDeadReadDiagnosticsMatchInterpreter)
     Emulator b(exe, opts);
     b.run();
     expectStatsEq(a.stats(), b.stats());
+}
+
+TEST(XlateTier, TwoDeadSourcesCountTwiceOnBothTiers)
+{
+    // At entry only zero, a0-a3, gp, sp and ra are live, so t1 (r9)
+    // and t2 (r10) are dead. The block prologue's one-mask test must
+    // fall back to the ordered probe list and count both reads.
+    for (const Instruction &inst :
+         {Instruction::alu(Opcode::Add, 8, 9, 10),
+          Instruction::alu(Opcode::Add, 8, 9, 9),
+          Instruction::branch(Opcode::Beq, 9, 10, 2)}) {
+        const comp::Executable exe =
+            assemble({inst, Instruction::halt(), Instruction::halt()});
+        for (const ExecTier tier : {ExecTier::Interp, ExecTier::Xlate}) {
+            EmulatorOptions opts;
+            opts.tier = tier;
+            Emulator emu(exe, opts);
+            emu.run();
+            EXPECT_EQ(emu.stats().deadReads, 2u) << inst.toString();
+            EXPECT_EQ(emu.stats().firstDeadReadReg, 9) << inst.toString();
+            EXPECT_EQ(emu.stats().firstDeadReadPc, 0u);
+        }
+        expectTierParity(exe, EmulatorOptions{});
+    }
+    // Store probes its data register first, as the interpreter does.
+    const comp::Executable store = assemble({
+        Instruction::store(10, 9, 0),
+        Instruction::halt(),
+    });
+    expectTierParity(store, EmulatorOptions{});
+    Emulator emu(store);
+    emu.run();
+    EXPECT_EQ(emu.stats().deadReads, 2u);
+    EXPECT_EQ(emu.stats().firstDeadReadReg, 10);
+}
+
+TEST(XlateTier, LiveStoreDataRegisterStaysExempt)
+{
+    // A callee save of dead s0 is no dead read: it is an eliminable
+    // save. Only the (live) sp base is probed.
+    const comp::Executable exe = assemble({
+        Instruction::liveStore(16, isa::regSp, -8),
+        Instruction::halt(),
+    });
+    EmulatorOptions opts;
+    opts.strictDeadReads = true;
+    expectTierParity(exe, opts);
+    Emulator emu(exe, opts);
+    emu.run();
+    EXPECT_EQ(emu.stats().deadReads, 0u);
+    EXPECT_EQ(emu.stats().saveElimOracle, 1u);
+}
+
+TEST(XlateTierDeath, StrictDeadReadPanicsOnTheBlockPath)
+{
+    const comp::Executable exe = assemble({
+        Instruction::aluImm(Opcode::Addi, 8, 4, 1),
+        Instruction::alu(Opcode::Add, 8, 8, 9),
+        Instruction::halt(),
+    });
+    EmulatorOptions opts;
+    opts.tier = ExecTier::Xlate;
+    opts.strictDeadReads = true;
+    EXPECT_DEATH(
+        {
+            Emulator emu(exe, opts);
+            emu.run();
+        },
+        "read of dead register t1 at pc 1 \\(incorrect E-DVI\\)");
+    EXPECT_DEATH(
+        {
+            Emulator emu(exe, opts);
+            TraceRecord recs[8];
+            (void)emu.stepBatch(recs, 8);
+        },
+        "read of dead register t1 at pc 1 \\(incorrect E-DVI\\)");
 }
 
 // ------------------------------------------- per-emulator block index

@@ -92,6 +92,66 @@ TEST(CallingConvention, FpMasksPartition)
               numFpRegs);
 }
 
+/** Mask of the named registers, set one at a time. */
+RegMask
+byName(std::initializer_list<const char *> names)
+{
+    RegMask m;
+    for (const char *name : names) {
+        bool found = false;
+        for (RegIndex r = 0; r < numIntRegs && !found; ++r) {
+            if (intRegName(r) == name) {
+                m.set(r);
+                found = true;
+            }
+        }
+        EXPECT_TRUE(found) << name;
+    }
+    return m;
+}
+
+TEST(CallingConvention, ConstantMasksMatchTheirRegisterLists)
+{
+    // The ABI masks are compile-time bit constants; rebuild each one
+    // from the convention's register list by name and compare.
+    const auto temps = {"at", "t0", "t1", "t2", "t3", "t4", "t5",
+                        "t6", "t7", "t8", "t9"};
+    EXPECT_EQ(calleeSavedMask(), byName({"s0", "s1", "s2", "s3", "s4",
+                                         "s5", "s6", "s7", "fp"}));
+    EXPECT_EQ(callerSavedMask(),
+              byName(temps) | byName({"v0", "v1", "a0", "a1", "a2",
+                                      "a3", "ra"}));
+    EXPECT_EQ(idviMask(), byName(temps));
+    EXPECT_EQ(idviCallMask(), byName(temps) | byName({"v0", "v1"}));
+    EXPECT_EQ(idviReturnMask(),
+              byName(temps) | byName({"a0", "a1", "a2", "a3"}));
+    EXPECT_EQ(argMask(), byName({"a0", "a1", "a2", "a3"}));
+    EXPECT_EQ(returnValueMask(), byName({"v0", "v1"}));
+    EXPECT_EQ(allocatableCalleeSaved(),
+              byName({"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"}));
+    EXPECT_EQ(allocatableCallerSaved(),
+              byName({"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
+                      "t8", "t9"}));
+    RegMask switched;
+    for (RegIndex r = 0; r < numIntRegs; ++r)
+        switched.set(r);
+    switched = switched.minus(byName({"zero", "k0", "k1"}));
+    EXPECT_EQ(contextSwitchSavedMask(), switched);
+    EXPECT_EQ(abiEntryLiveMask(),
+              byName({"zero", "a0", "a1", "a2", "a3", "gp", "sp",
+                      "ra"}));
+    RegMask fp_caller, fp_callee;
+    for (RegIndex f = 0; f < 20; ++f)
+        fp_caller.set(f);
+    for (RegIndex f = 20; f < numFpRegs; ++f)
+        fp_callee.set(f);
+    EXPECT_EQ(fpCallerSavedMask(), fp_caller);
+    EXPECT_EQ(fpCalleeSavedMask(), fp_callee);
+    static_assert(calleeSavedMask().raw() != 0 &&
+                      fpCallerSavedMask().raw() != 0,
+                  "ABI masks are compile-time constants");
+}
+
 TEST(CallingConvention, RegisterNames)
 {
     EXPECT_EQ(intRegName(0), "zero");

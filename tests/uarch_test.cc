@@ -52,6 +52,30 @@ TEST(Core, RunsToCompletionAndCountsMatchEmulator)
     EXPECT_LE(s.ipc(), static_cast<double>(cfg.issueWidth));
 }
 
+TEST(Core, FeedTranslatesTheBlocksARunDoes)
+{
+    // The fetch stage pulls 256-record batches. A batch ends at a
+    // block edge instead of splitting the next block, so the feed
+    // translates exactly the leaders a run() over the same
+    // instructions does.
+    for (const comp::EdviPolicy policy :
+         {comp::EdviPolicy::None, comp::EdviPolicy::CallSites}) {
+        const comp::Executable exe = comp::compile(
+            workload::generateBenchmark(workload::BenchmarkId::Go),
+            comp::CompileOptions{policy});
+        CoreConfig cfg;
+        cfg.maxInsts = 120000;
+        Core core(exe, cfg);
+        core.run();
+        arch::Emulator ref(exe);
+        ref.run(core.emulator().stats().insts);
+        EXPECT_EQ(core.emulator().stats().insts, ref.stats().insts);
+        EXPECT_GT(ref.translatedBlocks(), 0u);
+        EXPECT_EQ(core.emulator().translatedBlocks(),
+                  ref.translatedBlocks());
+    }
+}
+
 TEST(Core, NoDviConfigEliminatesNothing)
 {
     comp::Executable exe =
