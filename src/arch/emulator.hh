@@ -195,7 +195,12 @@ class Emulator
     const RegMask &fpLive() const { return fpLive_; }
     /** @} */
 
-    const EmulatorStats &stats() const { return stats_; }
+    /**
+     * Counters so far. Returned by value: under ExecTier::Xlate a
+     * complete block run only bumps its block's run count, and the
+     * block's static delta times that count is summed in here.
+     */
+    EmulatorStats stats() const;
     const comp::Executable &executable() const { return exe; }
 
     /** Distinct block leaders translated so far; 0 until the first
@@ -228,7 +233,7 @@ class Emulator
     /** @name Tier-1 executor (emulator_xlate.cc) @{ */
     /** The block led by `pc` (inside the code image), translated on
      * first use. */
-    const XBlock &blockAt(std::uint32_t pc);
+    XBlock &blockAt(std::uint32_t pc);
     /** Slow path of the block prologue's dead-read test, taken
      * only when a register in u.chkMask is dead: probes u's
      * registers in interpreter order (isa::deadCheckRegs). */
@@ -238,16 +243,16 @@ class Emulator
     void checkLiveAt(RegIndex r, std::uint32_t at_pc);
     /** Effective address + misaligned-fault latch for a micro-op. */
     Addr xlateAddr(const MicroOp &u);
-    /** Fold a block's static stats delta into stats_. */
-    void applyBlockStats(const BlockStats &s);
     /** Execute one translated block; returns instructions retired
      * (== b.len unless a misaligned fault halted mid-block). When
      * Trace, writes one TraceRecord per retired instruction. Live
      * bakes opts.trackLiveness into the instantiation so the
      * no-LVM configuration (the timing core's) carries no liveness
-     * branches in the dispatch loop. */
+     * branches in the dispatch loop. The LVM is held in a local
+     * for the whole block and written back to lvm_ wherever the
+     * block leaves or calls code that reads lvm_. */
     template <bool Trace, bool Live>
-    std::uint32_t execBlock(const XBlock &b, TraceRecord *out);
+    std::uint32_t execBlock(XBlock &b, TraceRecord *out);
     std::uint64_t runXlate(std::uint64_t max_insts);
     std::size_t stepBatchXlate(TraceRecord *out,
                                std::size_t max_records,
@@ -274,8 +279,10 @@ class Emulator
 
     /** Tier-1 block index, one slot per pc; sized to the code on
      * the first translated run, null until that leader is reached. */
-    std::vector<std::unique_ptr<const XBlock>> blocks_;
+    std::vector<std::unique_ptr<XBlock>> blocks_;
 
+    /** Interpreter steps, dynamic counters and the prefix of a
+     * block cut short by a fault; stats() adds the block runs. */
     EmulatorStats stats_;
 };
 

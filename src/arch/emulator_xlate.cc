@@ -31,6 +31,41 @@ namespace arch
 
 using isa::Opcode;
 
+namespace
+{
+
+/** Add `times` runs of a block's static stats delta to `s`. */
+void
+addBlockStats(EmulatorStats &s, const BlockStats &b, std::uint64_t times)
+{
+    s.insts += times * b.insts;
+    s.progInsts += times * b.progInsts;
+    s.kills += times * b.kills;
+    s.aluOps += times * b.aluOps;
+    s.memRefs += times * b.memRefs;
+    s.loads += times * b.loads;
+    s.stores += times * b.stores;
+    s.fpOps += times * b.fpOps;
+    s.saves += times * b.saves;
+    s.restores += times * b.restores;
+    s.condBranches += times * b.condBranches;
+    s.calls += times * b.calls;
+    s.returns += times * b.returns;
+}
+
+} // namespace
+
+EmulatorStats
+Emulator::stats() const
+{
+    EmulatorStats s = stats_;
+    for (const auto &b : blocks_) {
+        if (b)
+            addBlockStats(s, b->stat, b->runs);
+    }
+    return s;
+}
+
 std::size_t
 Emulator::translatedBlocks() const
 {
@@ -39,13 +74,12 @@ Emulator::translatedBlocks() const
                       [](const auto &b) { return b != nullptr; }));
 }
 
-const XBlock &
+XBlock &
 Emulator::blockAt(std::uint32_t pc)
 {
-    std::unique_ptr<const XBlock> &slot = blocks_[pc];
+    std::unique_ptr<XBlock> &slot = blocks_[pc];
     if (!slot)
-        slot = std::make_unique<const XBlock>(
-            translateBlock(exe.code, pc));
+        slot = std::make_unique<XBlock>(translateBlock(exe.code, pc));
     return *slot;
 }
 
@@ -85,24 +119,6 @@ Emulator::xlateAddr(const MicroOp &u)
     return a;
 }
 
-void
-Emulator::applyBlockStats(const BlockStats &s)
-{
-    stats_.insts += s.insts;
-    stats_.progInsts += s.progInsts;
-    stats_.kills += s.kills;
-    stats_.aluOps += s.aluOps;
-    stats_.memRefs += s.memRefs;
-    stats_.loads += s.loads;
-    stats_.stores += s.stores;
-    stats_.fpOps += s.fpOps;
-    stats_.saves += s.saves;
-    stats_.restores += s.restores;
-    stats_.condBranches += s.condBranches;
-    stats_.calls += s.calls;
-    stats_.returns += s.returns;
-}
-
 // Threaded dispatch: GNU computed goto when available, otherwise a
 // dense switch that jumps to the same handler labels.
 #if defined(__GNUC__) || defined(__clang__)
@@ -118,20 +134,21 @@ Emulator::applyBlockStats(const BlockStats &s)
 #endif
 
 // Register write specialized on the Live template parameter (the
-// member setIntReg re-tests opts.trackLiveness on every call).
+// member setIntReg re-tests opts.trackLiveness on every call); the
+// definition sets the bit in execBlock's local LVM copy.
 #define DVI_XLATE_SET_REG(r, v)                                     \
     do {                                                            \
         const RegIndex dst_ = (r);                                  \
         if (dst_ != isa::regZero) {                                 \
             intRegs[dst_] = (v);                                    \
             if (Live)                                               \
-                lvm_.define(dst_);                                  \
+                lvm |= std::uint64_t(1) << dst_;                    \
         }                                                           \
     } while (0)
 
 template <bool Trace, bool Live>
 std::uint32_t
-Emulator::execBlock(const XBlock &b, TraceRecord *out)
+Emulator::execBlock(XBlock &b, TraceRecord *out)
 {
     (void)out;
     constexpr bool live = Live;
@@ -145,6 +162,13 @@ Emulator::execBlock(const XBlock &b, TraceRecord *out)
     std::uint32_t u_next = 0;
     Addr eff_addr = 0;
     bool taken = false;
+    // The LVM, held in a register for the whole block. In lvm_ it
+    // would be stored and reloaded around every instruction: the
+    // int64_t stores to intRegs and guest memory may alias its
+    // uint64_t bits. Written back to lvm_ before anything that reads
+    // lvm_ and at both exits; LvmLoad restores it even without
+    // liveness, so both instantiations write it back.
+    std::uint64_t lvm = lvm_.mask().raw();
 
 #if DVI_XLATE_COMPUTED_GOTO
     // Indexed by Opcode; order must match isa::Opcode exactly.
@@ -169,8 +193,10 @@ x_top:
         eff_addr = 0;
         taken = false;
     }
-    if (live && DVI_UNLIKELY(u->chkMask & ~lvm_.mask().raw()))
+    if (live && DVI_UNLIKELY(u->chkMask & ~lvm)) {
+        lvm_.restore(RegMask(lvm));
         probeDeadReads(*u);
+    }
 #if DVI_XLATE_COMPUTED_GOTO
     goto *kDispatch[static_cast<unsigned>(u->op)];
 #else
@@ -307,7 +333,7 @@ x_LiveLoad:
 x_LiveStore:
     // Save-elimination oracle; the data register itself is exempt
     // from the dead-read probe (it is not in the chk list).
-    if (live && !lvm_.isLive(u->rs2))
+    if (live && !((lvm >> u->rs2) & 1))
         ++stats_.saveElimOracle;
     eff_addr = xlateAddr(*u);
     if (!faulted_)
@@ -361,9 +387,9 @@ x_Call:
     ++callDepth;
     stats_.maxCallDepth = std::max(stats_.maxCallDepth, callDepth);
     if (live) {
-        stack.push(lvm_.snapshot());
+        stack.push(RegMask(lvm));
         if (opts.honorIdvi) {
-            lvm_.kill(isa::idviCallMask());
+            lvm &= ~isa::idviCallMask().raw();
             fpLive_ = fpLive_.minus(isa::fpCallerSavedMask());
         }
     }
@@ -378,32 +404,32 @@ x_Ret:
     u_next = static_cast<std::uint32_t>(intRegs[isa::regRa]);
     if (live) {
         const RegMask snapshot = stack.pop();
+        lvm_.restore(RegMask(lvm));
         lvm_.mergeFrom(snapshot, isa::calleeSavedMask());
         if (opts.honorIdvi) {
             lvm_.kill(isa::idviReturnMask());
             fpLive_ = fpLive_.minus(isa::fpCallerSavedMask());
         }
+        lvm = lvm_.mask().raw();
     }
     goto x_epilogue;
 
 x_Kill:
     // The pre-baked E-DVI kill mask, straight off the micro-op.
     if (live && opts.honorEdvi)
-        lvm_.kill(RegMask(static_cast<std::uint32_t>(u->imm)));
+        lvm &= ~std::uint64_t(static_cast<std::uint32_t>(u->imm));
     goto x_epilogue;
 
 x_LvmSave:
     eff_addr = xlateAddr(*u);
     if (!faulted_)
-        mem.write(eff_addr,
-                  static_cast<std::int64_t>(lvm_.mask().raw()));
+        mem.write(eff_addr, static_cast<std::int64_t>(lvm));
     goto x_mem_epilogue;
 x_LvmLoad:
     eff_addr = xlateAddr(*u);
     // Mirrors the interpreter: a faulted refill restores an all-dead
     // mask before the run halts at this instruction.
-    lvm_.restore(RegMask(static_cast<std::uint64_t>(
-        faulted_ ? 0 : mem.read(eff_addr))));
+    lvm = static_cast<std::uint64_t>(faulted_ ? 0 : mem.read(eff_addr));
     goto x_mem_epilogue;
 
     // Only memory micro-ops can latch faulted_ (via xlateAddr), so
@@ -416,7 +442,7 @@ x_mem_epilogue:
         // interpreter, where stats are bumped before execution).
         halted_ = true;
         u_next = u->pc;
-        applyBlockStats(blockPrefixStats(b, i + 1));
+        addBlockStats(stats_, blockPrefixStats(b, i + 1), 1);
         if constexpr (Trace) {
             TraceRecord &tr = out[i];
             tr.inst = exe.code[u->pc];
@@ -425,6 +451,7 @@ x_mem_epilogue:
             tr.effAddr = eff_addr;
             tr.taken = taken;
         }
+        lvm_.restore(RegMask(lvm));
         pc_ = u_next;
         return i + 1;
     }
@@ -441,7 +468,8 @@ x_epilogue:
     if (++i < len)
         goto x_top;
 
-    applyBlockStats(b.stat);
+    ++b.runs;
+    lvm_.restore(RegMask(lvm));
     pc_ = u_next;
     return len;
 }
@@ -449,13 +477,13 @@ x_epilogue:
 #undef DVI_XLATE_SET_REG
 
 template std::uint32_t
-Emulator::execBlock<false, false>(const XBlock &b, TraceRecord *out);
+Emulator::execBlock<false, false>(XBlock &b, TraceRecord *out);
 template std::uint32_t
-Emulator::execBlock<false, true>(const XBlock &b, TraceRecord *out);
+Emulator::execBlock<false, true>(XBlock &b, TraceRecord *out);
 template std::uint32_t
-Emulator::execBlock<true, false>(const XBlock &b, TraceRecord *out);
+Emulator::execBlock<true, false>(XBlock &b, TraceRecord *out);
 template std::uint32_t
-Emulator::execBlock<true, true>(const XBlock &b, TraceRecord *out);
+Emulator::execBlock<true, true>(XBlock &b, TraceRecord *out);
 
 std::uint64_t
 Emulator::runXlate(std::uint64_t max_insts)
@@ -472,7 +500,7 @@ Emulator::runXlate(std::uint64_t max_insts)
             if (opts.cancel->requested())
                 throw base::CancelledError(
                     "emulator cancelled after " +
-                    std::to_string(stats_.insts) +
+                    std::to_string(stats().insts) +
                     " retired insts");
             next_cancel = n + 4096;
         }
@@ -483,7 +511,7 @@ Emulator::runXlate(std::uint64_t max_insts)
             ++n;
             continue;
         }
-        const XBlock &b = blockAt(pc_);
+        XBlock &b = blockAt(pc_);
         if (max_insts && b.len > max_insts - n) {
             // The budget ends inside this block: finish with the
             // tier-0 loop, which applies the gate per instruction.
@@ -519,7 +547,7 @@ Emulator::stepBatchXlate(TraceRecord *out, std::size_t max_records,
             ++n;
             continue;
         }
-        const XBlock &b = blockAt(pc_);
+        XBlock &b = blockAt(pc_);
         const bool gate_inside = max_prog_insts &&
             b.stat.progInsts >= max_prog_insts - prog;
         if (!gate_inside && b.len > max_records - n && n > 0) {

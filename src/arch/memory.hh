@@ -13,7 +13,11 @@
  * few pages at once (the current stack frames, the global window,
  * the heap arrays a loop walks), so the common case is a shift, one
  * compare and an indexed array access; the hash lookup runs out of
- * line (memory.cc) only on a TLB miss. Stack and global accesses
+ * line (memory.cc) only on a TLB miss. read() and write() are forced
+ * inline and the two miss paths are kept out of line and cold, so
+ * the emulator's memory micro-ops carry the TLB probe and no call
+ * (left to its size heuristics, the optimizer kept both out of line,
+ * with the hash lookup folded into write). Stack and global accesses
  * interleave, so a single-entry page cache would miss on about a
  * third of the accesses of fig09/fig12. Pages never move once
  * allocated (unique_ptr targets), which is what keeps the cached
@@ -58,7 +62,7 @@ class Memory
     Memory(const Memory &) = delete;
     Memory &operator=(const Memory &) = delete;
 
-    std::int64_t
+    DVI_ALWAYS_INLINE std::int64_t
     read(Addr addr) const
     {
         panic_if(addr % 8 != 0, "unaligned read at ", addr);
@@ -71,7 +75,7 @@ class Memory
         return p ? p->data[w & pageMask] : 0;
     }
 
-    void
+    DVI_ALWAYS_INLINE void
     write(Addr addr, std::int64_t value)
     {
         panic_if(addr % 8 != 0, "unaligned write at ", addr);
@@ -126,11 +130,11 @@ class Memory
 
     /** TLB miss on a read: the hash lookup, filling the slot when
      * the page exists; nullptr (and no fill) for an unwritten page. */
-    const Page *findPageSlow(std::uint64_t idx) const;
+    DVI_NOINLINE_COLD const Page *findPageSlow(std::uint64_t idx) const;
 
     /** TLB miss on a write: find or allocate the page, fill the
      * slot. */
-    Page &ensurePageSlow(std::uint64_t idx);
+    DVI_NOINLINE_COLD Page &ensurePageSlow(std::uint64_t idx);
 
     std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages;
     std::size_t touched = 0;

@@ -66,10 +66,12 @@ static_assert(sizeof(MicroOp) == 16, "MicroOp packs to 16 bytes");
 
 /**
  * Per-block instruction-mix delta: every EmulatorStats counter that
- * depends only on the static opcode sequence, applied in one shot
- * per block execution instead of per retired instruction. Dynamic
- * counters (takenBranches, the save/restore elimination oracles,
- * dead reads, maxCallDepth) stay per-uop.
+ * depends only on the static opcode sequence. A complete block run
+ * bumps only its block's run count (XBlock::runs), and
+ * Emulator::stats() adds runs x delta when it is read, so a run
+ * writes one counter instead of thirteen. Dynamic counters
+ * (takenBranches, the save/restore elimination oracles, dead reads,
+ * maxCallDepth) stay per-uop.
  */
 struct BlockStats
 {
@@ -94,6 +96,9 @@ struct XBlock
     std::uint32_t entryPc = 0;
     std::uint32_t len = 0;
     BlockStats stat;
+    /** Complete runs of this block; a run cut short by a fault adds
+     * its executed prefix to the emulator's own counters instead. */
+    std::uint64_t runs = 0;
     std::vector<MicroOp> uops;
 };
 

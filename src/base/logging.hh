@@ -83,15 +83,26 @@ void setLogHook(LogHook hook);
  * moves into a noinline, cold lambda: the hot path keeps one
  * compare and a branch to out-of-line code. Non-GNU compilers get
  * the plain form; the message text is the same either way.
+ *
+ * The same split applies to a helper with a rare slow path (the
+ * page-TLB miss of arch::Memory): DVI_ALWAYS_INLINE forces the small
+ * fast path into every caller, even where the optimizer's size
+ * heuristics would keep it out of line, and DVI_NOINLINE_COLD keeps
+ * the slow path a call, so forcing the fast path inline does not
+ * copy the slow path into every caller too.
  * @{
  */
 #if defined(__GNUC__) || defined(__clang__)
 #define DVI_UNLIKELY(cond) __builtin_expect(static_cast<bool>(cond), 0)
 #define DVI_COLD_CALL(...)                                                 \
     [&]() __attribute__((noinline, cold, noreturn)) { __VA_ARGS__; }()
+#define DVI_ALWAYS_INLINE inline __attribute__((always_inline))
+#define DVI_NOINLINE_COLD __attribute__((noinline, cold))
 #else
 #define DVI_UNLIKELY(cond) static_cast<bool>(cond)
 #define DVI_COLD_CALL(...) __VA_ARGS__
+#define DVI_ALWAYS_INLINE inline
+#define DVI_NOINLINE_COLD
 #endif
 /** @} */
 

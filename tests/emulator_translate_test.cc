@@ -3,13 +3,14 @@
  * Tier-1 translation tests: basic-block formation, the pre-baked
  * dead-read probe lists, interpreter/xlate lockstep over branches,
  * fuel-guarded back edges and mutual recursion, misaligned-fault
- * paths (mid-block prefix stats), and the per-emulator block index —
- * lazy growth, recompiles under one name, and concurrent emulators
- * on one executable.
+ * paths (mid-block prefix stats), chunked runs read between calls,
+ * and the per-emulator block index — lazy growth, recompiles under
+ * one name, and concurrent emulators on one executable.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "fuzz/program_gen.hh"
 #include "isa/decode.hh"
 #include "test_programs.hh"
+#include "workload/benchmarks.hh"
 
 namespace dvi
 {
@@ -72,8 +74,20 @@ expectStatsEq(const EmulatorStats &a, const EmulatorStats &b)
     EXPECT_EQ(a.maxCallDepth, b.maxCallDepth);
 }
 
+/** Liveness-oracle equality: the LVM, the FP live set and the
+ * LVM-Stack's depth and top snapshot. */
+void
+expectLivenessEq(const Emulator &a, const Emulator &b)
+{
+    EXPECT_EQ(a.lvm().mask().raw(), b.lvm().mask().raw());
+    EXPECT_EQ(a.fpLive().raw(), b.fpLive().raw());
+    EXPECT_EQ(a.lvmStack().size(), b.lvmStack().size());
+    EXPECT_EQ(a.lvmStack().top().raw(), b.lvmStack().top().raw());
+}
+
 /** Run `exe` under both tiers with identical options and require
- * bit-identical stats, halt state, and result hash. */
+ * bit-identical stats, liveness state, halt state, and result
+ * hash. */
 void
 expectTierParity(const comp::Executable &exe, EmulatorOptions opts,
                  std::uint64_t max_insts = 0)
@@ -91,6 +105,7 @@ expectTierParity(const comp::Executable &exe, EmulatorOptions opts,
     EXPECT_EQ(interp.faultPc(), xlate.faultPc());
     EXPECT_EQ(interp.pc(), xlate.pc());
     expectStatsEq(interp.stats(), xlate.stats());
+    expectLivenessEq(interp, xlate);
     for (RegIndex r = 0; r < isa::numIntRegs; ++r)
         EXPECT_EQ(interp.intReg(r), xlate.intReg(r)) << "r" << int(r);
     EXPECT_EQ(interp.resultHash(), xlate.resultHash());
@@ -372,6 +387,29 @@ TEST(XlateTier, MisalignedFaultMidBlockMatchesInterpreter)
     EXPECT_EQ(emu.stats().insts, 4u);
     EXPECT_EQ(emu.stats().stores, 1u);
     EXPECT_EQ(emu.memory().touchedWords(), 0u);
+
+    // The fault exit hands back the block's LVM: r8 and r9 are
+    // killed in an earlier block and redefined in the faulting one,
+    // so they read live only if the definitions reached lvm(); r10
+    // stays dead.
+    const comp::Executable live_exe = assemble({
+        Instruction::kill(RegMask{8, 9, 10}),
+        Instruction::jump(2),
+        Instruction::aluImm(Opcode::Addi, 9, 0, 0x1001),
+        Instruction::aluImm(Opcode::Addi, 8, 0, 7),
+        Instruction::store(8, 9, 0),  // faults mid-block
+        Instruction::halt(),
+    });
+    expectTierParity(live_exe, opts);
+
+    opts.tier = ExecTier::Xlate;
+    Emulator live_emu(live_exe, opts);
+    live_emu.run();
+    EXPECT_TRUE(live_emu.faulted());
+    EXPECT_EQ(live_emu.faultPc(), 4u);
+    EXPECT_TRUE(live_emu.lvm().isLive(8));
+    EXPECT_TRUE(live_emu.lvm().isLive(9));
+    EXPECT_FALSE(live_emu.lvm().isLive(10));
 }
 
 TEST(XlateTier, MisalignedFaultedLoadReadsZero)
@@ -391,6 +429,67 @@ TEST(XlateTier, MisalignedFaultedLoadReadsZero)
     emu.run();
     EXPECT_TRUE(emu.faulted());
     EXPECT_EQ(emu.intReg(8), 0);
+}
+
+TEST(XlateTier, LvmLoadRestoresTheMaskWithLivenessOff)
+{
+    // LvmLoad restores the LVM even when liveness tracking is off,
+    // so the no-LVM block loop must hand its copy back too.
+    const comp::Executable exe = assemble({
+        Instruction::aluImm(Opcode::Addi, 9, 0, 0x1000),
+        Instruction::aluImm(Opcode::Addi, 8, 0, 0x0f),
+        Instruction::store(8, 9, 0),
+        Instruction::lvmLoad(9, 0),
+        Instruction::halt(),
+    });
+    EmulatorOptions opts;
+    opts.trackLiveness = false;
+    expectTierParity(exe, opts);
+
+    opts.tier = ExecTier::Xlate;
+    Emulator emu(exe, opts);
+    emu.run();
+    EXPECT_EQ(emu.lvm().mask().raw(), 0x0fu);
+}
+
+// ------------------------------------------------- chunked runs
+
+TEST(XlateTier, ChunkedRunsMatchInterpreter)
+{
+    // stats() and lvm() are read between run() calls, as the
+    // context-switch scheduler does, so a block run not yet counted
+    // or an LVM not yet written back shows up after some chunk.
+    // Chunk sizes straddle maxBlockLen (whose budget tails fall back
+    // to the interpreter) and fig12's 20000-instruction quantum.
+    const comp::Executable programs[] = {
+        comp::compile(testprog::factorialProgram(10)),
+        comp::compile(
+            workload::generateBenchmark(workload::BenchmarkId::Perl),
+            comp::CompileOptions{comp::EdviPolicy::CallSites}),
+    };
+    EmulatorOptions opts;
+    opts.lvmStackDepth = 16;
+    for (const comp::Executable &exe : programs) {
+        for (const std::uint64_t k :
+             {1ull, 7ull, 63ull, 64ull, 65ull, 1000ull, 20000ull}) {
+            SCOPED_TRACE(exe.name + ", chunks of " + std::to_string(k));
+            opts.tier = ExecTier::Interp;
+            Emulator interp(exe, opts);
+            opts.tier = ExecTier::Xlate;
+            Emulator xlate(exe, opts);
+            const std::uint64_t total = std::max<std::uint64_t>(3 * k, 6000);
+            for (std::uint64_t done = 0; done < total && !interp.halted();) {
+                const std::uint64_t ran = interp.run(k);
+                ASSERT_EQ(ran, xlate.run(k)) << "after " << done;
+                done += ran;
+                ASSERT_EQ(interp.pc(), xlate.pc()) << "after " << done;
+                expectStatsEq(interp.stats(), xlate.stats());
+                expectLivenessEq(interp, xlate);
+                ASSERT_FALSE(HasFailure()) << "after " << done;
+            }
+            EXPECT_EQ(interp.halted(), xlate.halted());
+        }
+    }
 }
 
 // ------------------------------------------ dead-read diagnostics

@@ -99,5 +99,23 @@ TEST(TierSweep, EveryRegisteredScenarioIsTierInvariant)
     }
 }
 
+TEST(TierSweep, FunctionalFiguresAtLengthAreTierInvariant)
+{
+    // At 600 instructions no job reaches fig12's 20000-instruction
+    // quantum, so the sweep above never switches context and never
+    // reads an emulator's stats between two run() calls. At 1M
+    // instructions per job both figures do.
+    for (const char *name : {"fig09", "fig12"}) {
+        const driver::RegisteredScenario &entry =
+            driver::scenarioFor(name);
+        const std::uint64_t insts = 1000000;
+        const json::Value interp = stripEmuTier(
+            reportWithTier(entry, insts, arch::ExecTier::Interp));
+        const json::Value xlate = stripEmuTier(
+            reportWithTier(entry, insts, arch::ExecTier::Xlate));
+        EXPECT_EQ(interp.dump(), xlate.dump()) << name;
+    }
+}
+
 } // namespace
 } // namespace dvi
